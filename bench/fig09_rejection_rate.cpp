@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "io/trace_json.h"
+#include "io/trace_stream.h"
 #include "workload/generator.h"
 
 int main() {

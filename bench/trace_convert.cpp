@@ -23,7 +23,6 @@
 #include <string>
 #include <vector>
 
-#include "io/emit.h"
 #include "io/json.h"
 #include "io/trace_binary.h"
 #include "io/trace_json.h"
@@ -61,31 +60,6 @@ JsonTraceKind json_trace_kind(const Json& doc) {
     return JsonTraceKind::kRunTrace;
   }
   return JsonTraceKind::kNotATrace;
-}
-
-// Canonical JSON text of a sim/run trace: streaming emitter, pretty
-// indent 2, trailing newline — exactly what the file writers produce.
-std::string sim_trace_text(const std::vector<WindowMetrics>& rows) {
-  std::string out;
-  JsonEmitter emitter(out, 2);
-  emitter.begin_object();
-  emitter.key("windows");
-  emitter.begin_array();
-  for (const WindowMetrics& row : rows) {
-    emit_window_metrics(emitter, row);
-  }
-  emitter.end_array();
-  emitter.end_object();
-  out += '\n';
-  return out;
-}
-
-std::string run_trace_text(const telemetry::RunTrace& trace) {
-  std::string out;
-  JsonEmitter emitter(out, 2);
-  emit_run_trace(emitter, trace);
-  out += '\n';
-  return out;
 }
 
 int convert(const std::string& in_path, const std::string& out_path) {
@@ -145,11 +119,11 @@ int check_file(const std::string& path, bool& failed) {
           read_binary_sim_trace(binary_path);
       fingerprint_ok = deterministic_fingerprint(reloaded) ==
                        deterministic_fingerprint(rows);
-      reemitted = sim_trace_text(reloaded);
+      reemitted = sim_trace_json_text(reloaded);
     } else {
       const telemetry::RunTrace trace = trace_from_json(doc);
       write_binary_run_trace(trace, binary_path);
-      reemitted = run_trace_text(read_binary_run_trace(binary_path));
+      reemitted = run_trace_json_text(read_binary_run_trace(binary_path));
     }
     std::filesystem::remove(binary_path);
     if (!fingerprint_ok) {

@@ -43,6 +43,8 @@ Placement sanitize_placement(const Instance& instance, const Placement& raw) {
                               : static_cast<std::int32_t>(
                                     instance.infra.datacenter_of(j)));
         }
+        IAAS_EXPECT(!slots.empty(),
+                    "a violated relation has at least two assigned members");
         std::int32_t majority = slots.front();
         std::size_t best_count = 0;
         for (std::int32_t s : slots) {

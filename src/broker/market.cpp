@@ -189,7 +189,7 @@ CloudMarket::CloudMarket(CloudMarketConfig config, std::uint64_t seed)
 std::size_t CloudMarket::online_count() const {
   std::size_t n = 0;
   for (const CloudProvider& provider : providers_) {
-    n += provider.online() ? 1 : 0;
+    n += provider.online() ? 1u : 0u;
   }
   return n;
 }

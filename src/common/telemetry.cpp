@@ -1,6 +1,8 @@
 #include "common/telemetry.h"
 
 #include <cstdio>
+#include <string_view>
+#include <utility>
 
 #include "common/csv.h"
 
@@ -136,52 +138,37 @@ ScopedSink::~ScopedSink() { t_sink = previous_; }
 #endif  // IAAS_TELEMETRY
 
 const std::vector<std::string>& RunTrace::columns() {
-  static const std::vector<std::string> kColumns = {
-      "generation",       "evaluations",
-      "full_rebuilds",    "delta_moves",
-      "rebases",          "repair_invocations", "repaired",
-      "unrepairable",     "tabu_moves_tried",
-      "tabu_moves_accepted", "front_size",
-      "best_usage",       "best_downtime",
-      "best_migration",   "seconds_tournament",
-      "seconds_variation", "seconds_repair",
-      "seconds_evaluate", "seconds_selection",
-  };
+  static const std::vector<std::string> kColumns = [] {
+    std::vector<std::string> names;
+    for_each_column<GenerationRow>(
+        [&names](std::string_view key) { names.emplace_back(key); });
+    return names;
+  }();
   return kColumns;
 }
 
 namespace {
 
-std::string num(double v) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof(buffer), "%.9g", v);
-  return buffer;
-}
+// CSV cells: counters as integers, doubles at 9 significant digits.
+struct CsvCells : NullVisitor {
+  std::vector<std::string> cells;
+  template <class T>
+  void count(std::string_view, const T& v, Fp) {
+    cells.push_back(std::to_string(v));
+  }
+  void real(std::string_view, double v, Fp) {
+    char buffer[32];
+    std::snprintf(buffer, sizeof(buffer), "%.9g", v);
+    cells.emplace_back(buffer);
+  }
+};
 
 }  // namespace
 
 std::vector<std::string> RunTrace::row_values(const GenerationRow& row) {
-  return {
-      std::to_string(row.generation),
-      std::to_string(row.evaluations),
-      std::to_string(row.full_rebuilds),
-      std::to_string(row.delta_moves),
-      std::to_string(row.rebases),
-      std::to_string(row.repair_invocations),
-      std::to_string(row.repaired),
-      std::to_string(row.unrepairable),
-      std::to_string(row.tabu_moves_tried),
-      std::to_string(row.tabu_moves_accepted),
-      std::to_string(row.front_size),
-      num(row.best_objectives[0]),
-      num(row.best_objectives[1]),
-      num(row.best_objectives[2]),
-      num(row.seconds_tournament),
-      num(row.seconds_variation),
-      num(row.seconds_repair),
-      num(row.seconds_evaluate),
-      num(row.seconds_selection),
-  };
+  CsvCells csv;
+  visit_fields(csv, row);
+  return std::move(csv.cells);
 }
 
 std::size_t RunTrace::total(std::size_t GenerationRow::*field) const {

@@ -17,8 +17,9 @@
 //   * a structured **RunTrace**: one row per EA generation recording
 //     what the search actually did — evaluations, delta moves vs full
 //     rebuilds, repair outcomes, tabu move counts, front size, best
-//     objective vector, and phase wall times — with a CSV emitter here
-//     (reusing common/csv) and a JSON emitter in io/trace_json.
+//     objective vector, and phase wall times.  Its columns are one field
+//     schema (visit_fields below) shared by the CSV emitter here
+//     (reusing common/csv) and the JSON/binary codecs in io.
 #pragma once
 
 #include <array>
@@ -27,6 +28,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "common/schema.h"
 
 #ifndef IAAS_TELEMETRY
 #define IAAS_TELEMETRY 1
@@ -248,7 +251,7 @@ struct RunTrace {
 
   [[nodiscard]] bool empty() const { return rows.empty(); }
 
-  // Column order shared by the CSV emitter and io/trace_json.
+  // Column names in schema order, shared by the CSV and JSON emitters.
   static const std::vector<std::string>& columns();
   static std::vector<std::string> row_values(const GenerationRow& row);
 
@@ -259,5 +262,41 @@ struct RunTrace {
   // fails loudly on an unopenable path).
   void write_csv(const std::string& path) const;
 };
+
+// The generation-row schema (common/schema.h): one column per field, in
+// CSV / JSON positional order.  The fingerprint hashes only the columns
+// every build mode and thread count agrees on: the per-generation
+// counter columns are zero in IAAS_TELEMETRY=OFF builds and the seconds
+// columns are wall clock.
+template <class V, RowOf<GenerationRow> R>
+void visit_fields(V& v, R& row) {
+  v.count("generation", row.generation, Fp::kHash);
+  v.count("evaluations", row.evaluations, Fp::kHash);
+  v.count("full_rebuilds", row.full_rebuilds, Fp::kSkip);
+  v.count("delta_moves", row.delta_moves, Fp::kSkip);
+  v.count("rebases", row.rebases, Fp::kSkip);
+  v.count("repair_invocations", row.repair_invocations, Fp::kSkip);
+  v.count("repaired", row.repaired, Fp::kSkip);
+  v.count("unrepairable", row.unrepairable, Fp::kSkip);
+  v.count("tabu_moves_tried", row.tabu_moves_tried, Fp::kSkip);
+  v.count("tabu_moves_accepted", row.tabu_moves_accepted, Fp::kSkip);
+  v.count("front_size", row.front_size, Fp::kHash);
+  v.real("best_usage", row.best_objectives[0], Fp::kHash);
+  v.real("best_downtime", row.best_objectives[1], Fp::kHash);
+  v.real("best_migration", row.best_objectives[2], Fp::kHash);
+  v.real("seconds_tournament", row.seconds_tournament, Fp::kSkip);
+  v.real("seconds_variation", row.seconds_variation, Fp::kSkip);
+  v.real("seconds_repair", row.seconds_repair, Fp::kSkip);
+  v.real("seconds_evaluate", row.seconds_evaluate, Fp::kSkip);
+  v.real("seconds_selection", row.seconds_selection, Fp::kSkip);
+}
+
+// {"label", "seed", "columns", "rows"}; rows are positional arrays.
+template <class V, RowOf<RunTrace> R>
+void visit_fields(V& v, R& trace) {
+  v.text("label", trace.label, Fp::kSkip);
+  v.count("seed", trace.seed, Fp::kSkip);
+  v.table("columns", "rows", trace.rows, Fp::kHash);
+}
 
 }  // namespace iaas::telemetry

@@ -3,8 +3,8 @@
 // caller-owned (reusable) std::string through the same formatters as
 // Json::dump (json_detail::*), so for any document the streamed bytes
 // are identical to building the equivalent Json tree and dumping it
-// with the same indent.  That byte-equivalence is what lets the
-// streaming writers be validated against the legacy tree emitters.
+// with the same indent — so a streamed document always equals
+// Json::parse(streamed).dump(indent).
 //
 // Usage:
 //   std::string buf;

@@ -190,7 +190,7 @@ Json& Json::operator[](const std::string& key) {
   return o->back().second;
 }
 
-bool Json::contains(const std::string& key) const {
+bool Json::contains(std::string_view key) const {
   const Object* o = std::get_if<Object>(&value_);
   if (o == nullptr) {
     return false;
@@ -203,14 +203,14 @@ bool Json::contains(const std::string& key) const {
   return false;
 }
 
-const Json& Json::at(const std::string& key) const {
+const Json& Json::at(std::string_view key) const {
   if (const Object* o = std::get_if<Object>(&value_)) {
     for (const auto& [k, v] : *o) {
       if (k == key) {
         return v;
       }
     }
-    fail("missing key '" + key + "'");
+    fail("missing key '" + std::string(key) + "'");
   }
   fail("keyed access on non-object");
 }

@@ -91,8 +91,8 @@ class Json {
 
   // --- object interface ---
   Json& operator[](const std::string& key);  // insert-or-access
-  [[nodiscard]] bool contains(const std::string& key) const;
-  [[nodiscard]] const Json& at(const std::string& key) const;
+  [[nodiscard]] bool contains(std::string_view key) const;
+  [[nodiscard]] const Json& at(std::string_view key) const;
   [[nodiscard]] const std::vector<std::pair<std::string, Json>>& items()
       const;
 

@@ -1,10 +1,15 @@
 #include "io/trace_binary.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <stdexcept>
+#include <string_view>
+#include <type_traits>
 
 #include "common/expect.h"
+#include "common/schema.h"
+#include "sim/window_schema.h"
 
 namespace iaas {
 namespace {
@@ -16,103 +21,193 @@ namespace {
 constexpr std::uint8_t kRecordWindow = 0x01;
 constexpr std::uint8_t kRecordEnd = 0x00;
 
-// Optional-block flags, mirroring the JSON emission conditions.
-constexpr std::uint8_t kFlagProviders = 1u << 0;
-constexpr std::uint8_t kFlagAdmission = 1u << 1;
-constexpr std::uint8_t kFlagShard = 1u << 2;
-constexpr std::uint8_t kFlagAllocatorTrace = 1u << 3;
-constexpr std::uint8_t kFlagFairness = 1u << 4;
-
-// ------------------------------------------------------- encoding -----
-
-void put_u8(std::string& out, std::uint8_t v) {
-  out += static_cast<char>(v);
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out += static_cast<char>((v >> (8 * i)) & 0xFF);
+// The flags byte of a record: which of its optional blocks the schema
+// declares, and which are present (bit = BlockSpec::flag).
+struct BlockFlags : NullVisitor {
+  std::uint8_t declared = 0;
+  std::uint8_t present = 0;
+  template <class Body>
+  void block(const BlockSpec& spec, bool is_present, Body&&) {
+    declared = static_cast<std::uint8_t>(declared | spec.flag);
+    present = static_cast<std::uint8_t>(present | (is_present ? spec.flag : 0));
   }
-}
+};
 
-void put_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out += static_cast<char>((v & 0x7F) | 0x80);
-    v >>= 7;
-  }
-  out += static_cast<char>(v);
-}
-
-void put_f64(std::string& out, double d) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  for (int i = 0; i < 8; ++i) {
-    out += static_cast<char>((bits >> (8 * i)) & 0xFF);
-  }
-}
-
-void put_string(std::string& out, const std::string& s) {
-  put_varint(out, s.size());
-  out += s;
-}
-
-class ByteReader {
+// Binary encoder over the field schema (common/schema.h).  A record
+// whose schema declares optional blocks starts with their flags byte.
+class BinaryWriter {
  public:
-  explicit ByteReader(std::string_view data) : data_(data) {}
+  explicit BinaryWriter(std::string& out) : out_(out) {}
+
+  void header(BinaryTraceKind kind) {
+    out_.append(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
+    little_endian(kBinaryTraceVersion, 4);
+    u8(static_cast<std::uint8_t>(kind));
+  }
+  template <class T>
+  void record(const T& row) {
+    BlockFlags flags;
+    visit_fields(flags, row);
+    if (flags.declared != 0) {
+      u8(flags.present);
+    }
+    visit_fields(*this, row);
+  }
+  void u8(std::uint8_t v) { out_ += static_cast<char>(v); }
+
+  template <class T>
+  void count(std::string_view, T v, Fp) { varint(v); }
+  void real(std::string_view, double v, Fp) { f64(v); }
+  void flag(std::string_view, bool v, Fp) { u8(v ? 1 : 0); }
+  template <class E>
+  void enumeration(std::string_view, E v, const EnumSpec<E>&, Fp) {
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void text(std::string_view, const std::string& v, Fp) {
+    varint(v.size());
+    out_ += v;
+  }
+  void vec3(std::string_view, const ObjectiveVector& v, Fp) {
+    f64(v.usage_cost);
+    f64(v.downtime_cost);
+    f64(v.migration_cost);
+  }
+  template <class T>
+  void list(std::string_view, const std::vector<T>& items, Fp) {
+    varint(items.size());
+    for (const T& item : items) {
+      if constexpr (std::is_arithmetic_v<T>) {
+        varint(item);
+      } else {
+        record(item);
+      }
+    }
+  }
+  // The column count pins the schema: a reader built against a
+  // different row shape rejects the file instead of misaligning rows.
+  template <class T>
+  void table(std::string_view, std::string_view, const std::vector<T>& rows,
+             Fp) {
+    varint(column_count<T>());
+    list({}, rows, Fp::kHash);
+  }
+  template <class Body>
+  void block(const BlockSpec&, bool present, Body&& body) {
+    if (present) {
+      body(*this);
+    }
+  }
+
+ private:
+  // LEB128: integers are mostly small window counters.
+  void varint(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) {
+      u8(static_cast<std::uint8_t>((v & 0x7F) | 0x80));
+    }
+    u8(static_cast<std::uint8_t>(v));
+  }
+  void f64(double d) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    little_endian(bits, 8);
+  }
+  void little_endian(std::uint64_t v, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      u8(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
+    }
+  }
+
+  std::string& out_;
+};
+
+// Decoder twin of BinaryWriter; malformed or truncated input throws.
+class BinaryReader {
+ public:
+  explicit BinaryReader(std::string_view data) : data_(data) {}
 
   [[nodiscard]] bool at_end() const { return pos_ == data_.size(); }
 
+  BinaryTraceKind header() {
+    if (data_.substr(0, sizeof(kBinaryTraceMagic)) !=
+        std::string_view(kBinaryTraceMagic, sizeof(kBinaryTraceMagic))) {
+      parse_error("bad magic (not a binary trace file)");
+    }
+    pos_ = sizeof(kBinaryTraceMagic);
+    const std::uint64_t version = little_endian(4);
+    if (version != kBinaryTraceVersion) {
+      parse_error("unsupported version " + std::to_string(version));
+    }
+    const std::uint8_t kind = u8();
+    if (kind > static_cast<std::uint8_t>(BinaryTraceKind::kSimTrace)) {
+      parse_error("unknown trace kind " + std::to_string(kind));
+    }
+    return static_cast<BinaryTraceKind>(kind);
+  }
+  template <class T>
+  void record(T& row) {
+    BlockFlags flags;
+    visit_fields(flags, row);
+    if (flags.declared != 0) {
+      flags_ = u8();
+      if ((flags_ & ~flags.declared) != 0) {
+        parse_error("unknown window flags");
+      }
+    }
+    visit_fields(*this, row);
+  }
   std::uint8_t u8() {
     need(1);
     return static_cast<std::uint8_t>(data_[pos_++]);
   }
 
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<std::uint8_t>(data_[pos_++]))
-           << (8 * i);
+  template <class T>
+  void count(std::string_view, T& v, Fp) { v = static_cast<T>(varint()); }
+  void real(std::string_view, double& v, Fp) { v = f64(); }
+  void flag(std::string_view, bool& v, Fp) { v = u8() != 0; }
+  template <class E>
+  void enumeration(std::string_view, E& v, const EnumSpec<E>& spec, Fp) {
+    const std::uint8_t raw = u8();
+    if (raw > static_cast<std::uint8_t>(spec.last)) {
+      parse_error(std::string("unknown ") + spec.noun);
     }
-    return v;
+    v = static_cast<E>(raw);
   }
-
-  std::uint64_t varint() {
-    std::uint64_t v = 0;
-    for (int shift = 0; shift < 64; shift += 7) {
-      need(1);
-      const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
-      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-      if ((byte & 0x80) == 0) {
-        return v;
-      }
-    }
-    parse_error("varint too long");
-  }
-
-  double f64() {
-    need(8);
-    std::uint64_t bits = 0;
-    for (int i = 0; i < 8; ++i) {
-      bits |= static_cast<std::uint64_t>(
-                  static_cast<std::uint8_t>(data_[pos_++]))
-              << (8 * i);
-    }
-    double d;
-    std::memcpy(&d, &bits, sizeof(d));
-    return d;
-  }
-
-  std::string str() {
+  void text(std::string_view, std::string& v, Fp) {
     const std::uint64_t len = varint();
     need(len);
-    std::string s(data_.substr(pos_, len));
+    v.assign(data_.substr(pos_, len));
     pos_ += len;
-    return s;
   }
-
-  std::size_t size_value() { return static_cast<std::size_t>(varint()); }
+  void vec3(std::string_view, ObjectiveVector& v, Fp) {
+    v.usage_cost = f64();
+    v.downtime_cost = f64();
+    v.migration_cost = f64();
+  }
+  template <class T>
+  void list(std::string_view, std::vector<T>& items, Fp) {
+    const auto n = static_cast<std::size_t>(varint());
+    items.reserve(std::min(n, data_.size() - pos_));  // >= 1 byte each
+    for (std::size_t i = 0; i < n; ++i) {
+      if constexpr (std::is_arithmetic_v<T>) {
+        items.push_back(static_cast<T>(varint()));
+      } else {
+        record(items.emplace_back());
+      }
+    }
+  }
+  template <class T>
+  void table(std::string_view, std::string_view, std::vector<T>& rows, Fp) {
+    if (varint() != column_count<T>()) {
+      parse_error("run-trace column count mismatch");
+    }
+    list({}, rows, Fp::kHash);
+  }
+  template <class Body>
+  void block(const BlockSpec& spec, bool, Body&& body) {
+    if ((flags_ & spec.flag) != 0) {
+      body(*this);
+    }
+  }
 
  private:
   void need(std::uint64_t n) const {
@@ -120,318 +215,35 @@ class ByteReader {
       parse_error("truncated input");
     }
   }
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0; shift < 64; shift += 7) {
+      const std::uint8_t byte = u8();
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        return v;
+      }
+    }
+    parse_error("varint too long");
+  }
+  double f64() {
+    const std::uint64_t bits = little_endian(8);
+    double d;
+    std::memcpy(&d, &bits, sizeof(d));
+    return d;
+  }
+  std::uint64_t little_endian(int bytes) {
+    std::uint64_t v = 0;
+    for (int i = 0; i < bytes; ++i) {
+      v |= static_cast<std::uint64_t>(u8()) << (8 * i);
+    }
+    return v;
+  }
 
   std::string_view data_;
   std::size_t pos_ = 0;
+  std::uint8_t flags_ = 0;
 };
-
-// -------------------------------------------------------- payloads ----
-
-void put_header(std::string& out, BinaryTraceKind kind) {
-  out.append(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
-  put_u32(out, kBinaryTraceVersion);
-  put_u8(out, static_cast<std::uint8_t>(kind));
-}
-
-BinaryTraceKind read_header(ByteReader& in) {
-  char magic[sizeof(kBinaryTraceMagic)];
-  for (char& c : magic) {
-    c = static_cast<char>(in.u8());
-  }
-  if (std::memcmp(magic, kBinaryTraceMagic, sizeof(magic)) != 0) {
-    parse_error("bad magic (not a binary trace file)");
-  }
-  const std::uint32_t version = in.u32();
-  if (version != kBinaryTraceVersion) {
-    parse_error("unsupported version " + std::to_string(version));
-  }
-  const std::uint8_t kind = in.u8();
-  if (kind > static_cast<std::uint8_t>(BinaryTraceKind::kSimTrace)) {
-    parse_error("unknown trace kind " + std::to_string(kind));
-  }
-  return static_cast<BinaryTraceKind>(kind);
-}
-
-void put_run_trace(std::string& out, const telemetry::RunTrace& trace) {
-  put_string(out, trace.label);
-  put_varint(out, trace.seed);
-  // Column count pins the schema: a reader built against a different
-  // GenerationRow shape rejects the file instead of misaligning rows.
-  put_varint(out, telemetry::RunTrace::columns().size());
-  put_varint(out, trace.rows.size());
-  for (const telemetry::GenerationRow& row : trace.rows) {
-    put_varint(out, row.generation);
-    put_varint(out, row.evaluations);
-    put_varint(out, row.full_rebuilds);
-    put_varint(out, row.delta_moves);
-    put_varint(out, row.rebases);
-    put_varint(out, row.repair_invocations);
-    put_varint(out, row.repaired);
-    put_varint(out, row.unrepairable);
-    put_varint(out, row.tabu_moves_tried);
-    put_varint(out, row.tabu_moves_accepted);
-    put_varint(out, row.front_size);
-    put_f64(out, row.best_objectives[0]);
-    put_f64(out, row.best_objectives[1]);
-    put_f64(out, row.best_objectives[2]);
-    put_f64(out, row.seconds_tournament);
-    put_f64(out, row.seconds_variation);
-    put_f64(out, row.seconds_repair);
-    put_f64(out, row.seconds_evaluate);
-    put_f64(out, row.seconds_selection);
-  }
-}
-
-telemetry::RunTrace read_run_trace(ByteReader& in) {
-  telemetry::RunTrace trace;
-  trace.label = in.str();
-  trace.seed = in.varint();
-  const std::uint64_t columns = in.varint();
-  if (columns != telemetry::RunTrace::columns().size()) {
-    parse_error("run-trace column count mismatch");
-  }
-  const std::uint64_t rows = in.varint();
-  trace.rows.reserve(static_cast<std::size_t>(rows));
-  for (std::uint64_t r = 0; r < rows; ++r) {
-    telemetry::GenerationRow g;
-    g.generation = in.size_value();
-    g.evaluations = in.size_value();
-    g.full_rebuilds = in.size_value();
-    g.delta_moves = in.size_value();
-    g.rebases = in.size_value();
-    g.repair_invocations = in.size_value();
-    g.repaired = in.size_value();
-    g.unrepairable = in.size_value();
-    g.tabu_moves_tried = in.size_value();
-    g.tabu_moves_accepted = in.size_value();
-    g.front_size = in.size_value();
-    g.best_objectives = {in.f64(), in.f64(), in.f64()};
-    g.seconds_tournament = in.f64();
-    g.seconds_variation = in.f64();
-    g.seconds_repair = in.f64();
-    g.seconds_evaluate = in.f64();
-    g.seconds_selection = in.f64();
-    trace.rows.push_back(g);
-  }
-  return trace;
-}
-
-void put_window(std::string& out, const WindowMetrics& row) {
-  put_u8(out, kRecordWindow);
-  std::uint8_t flags = 0;
-  if (!row.providers.empty()) {
-    flags |= kFlagProviders;
-  }
-  if (row.admitted != 0 || row.admission_deferred != 0 ||
-      row.admission_dropped != 0 || row.admission_queue_depth != 0) {
-    flags |= kFlagAdmission;
-  }
-  if (row.shard.shard_count != 0) {
-    flags |= kFlagShard;
-  }
-  if (!row.allocator_trace.empty()) {
-    flags |= kFlagAllocatorTrace;
-  }
-  if (row.fairness.consumers != 0) {
-    flags |= kFlagFairness;
-  }
-  put_u8(out, flags);
-  put_varint(out, row.window);
-  put_varint(out, row.arrived);
-  put_varint(out, row.departed);
-  put_varint(out, row.running);
-  put_varint(out, row.rejected);
-  put_varint(out, row.boots);
-  put_varint(out, row.migrations);
-  put_f64(out, row.migration_cost);
-  put_varint(out, row.failed_servers);
-  put_varint(out, row.repaired_servers);
-  put_varint(out, row.decommissioned_servers);
-  put_varint(out, row.displaced_vms);
-  put_varint(out, row.vms_on_down_servers);
-  put_varint(out, row.fault_events.size());
-  for (const FaultEvent& event : row.fault_events) {
-    put_varint(out, event.window);
-    put_u8(out, static_cast<std::uint8_t>(event.kind));
-    put_varint(out, event.index);
-    put_varint(out, event.servers.size());
-    for (std::uint32_t s : event.servers) {
-      put_varint(out, s);
-    }
-    put_varint(out, event.mttr_windows);
-  }
-  put_varint(out, row.evicted);
-  put_varint(out, row.retried);
-  put_varint(out, row.permanently_rejected);
-  put_varint(out, row.retry_queue_depth);
-  if ((flags & kFlagProviders) != 0) {
-    put_varint(out, row.providers.size());
-    for (const ProviderWindowMetrics& p : row.providers) {
-      put_varint(out, p.provider);
-      put_u8(out, p.online ? 1 : 0);
-      put_f64(out, p.price_multiplier);
-      put_varint(out, p.running);
-      put_varint(out, p.routed);
-      put_varint(out, p.rejected);
-      put_varint(out, p.evicted);
-      put_varint(out, p.redirects_in);
-      put_varint(out, p.failed_servers);
-      put_varint(out, p.migrations);
-      put_f64(out, p.migration_cost);
-      put_f64(out, p.objectives.usage_cost);
-      put_f64(out, p.objectives.downtime_cost);
-      put_f64(out, p.objectives.migration_cost);
-    }
-    put_varint(out, row.redirects);
-    put_varint(out, row.offline_providers);
-    put_f64(out, row.cross_cloud_migration_cost);
-  }
-  if ((flags & kFlagAdmission) != 0) {
-    put_varint(out, row.admitted);
-    put_varint(out, row.admission_deferred);
-    put_varint(out, row.admission_dropped);
-    put_varint(out, row.admission_queue_depth);
-  }
-  if ((flags & kFlagShard) != 0) {
-    put_varint(out, row.shard.shard_count);
-    put_varint(out, row.shard.pre_rejections);
-    put_varint(out, row.shard.rebalance_placements);
-    put_varint(out, row.shard.migrations);
-    put_varint(out, row.shard.max_shard_vms);
-    put_varint(out, row.shard.min_shard_vms);
-  }
-  if ((flags & kFlagFairness) != 0) {
-    put_varint(out, row.fairness.consumers);
-    put_varint(out, row.fairness.strategic_consumers);
-    put_varint(out, row.fairness.strategic_vms);
-    put_f64(out, row.fairness.jain_index);
-    put_f64(out, row.fairness.long_term_jain);
-    put_f64(out, row.fairness.envy);
-    put_f64(out, row.fairness.utilization_efficiency);
-    put_f64(out, row.fairness.honest_welfare);
-    put_f64(out, row.fairness.strategic_welfare);
-    put_f64(out, row.fairness.energy_cost);
-  }
-  put_u8(out, static_cast<std::uint8_t>(row.degrade));
-  put_string(out, row.fallback_algorithm);
-  put_f64(out, row.objectives.usage_cost);
-  put_f64(out, row.objectives.downtime_cost);
-  put_f64(out, row.objectives.migration_cost);
-  put_f64(out, row.solve_seconds);
-  if ((flags & kFlagAllocatorTrace) != 0) {
-    put_run_trace(out, row.allocator_trace);
-  }
-}
-
-WindowMetrics read_window(ByteReader& in) {
-  WindowMetrics row;
-  const std::uint8_t flags = in.u8();
-  if ((flags & ~(kFlagProviders | kFlagAdmission | kFlagShard |
-                 kFlagAllocatorTrace | kFlagFairness)) != 0) {
-    parse_error("unknown window flags");
-  }
-  row.window = in.size_value();
-  row.arrived = in.size_value();
-  row.departed = in.size_value();
-  row.running = in.size_value();
-  row.rejected = in.size_value();
-  row.boots = in.size_value();
-  row.migrations = in.size_value();
-  row.migration_cost = in.f64();
-  row.failed_servers = in.size_value();
-  row.repaired_servers = in.size_value();
-  row.decommissioned_servers = in.size_value();
-  row.displaced_vms = in.size_value();
-  row.vms_on_down_servers = in.size_value();
-  const std::size_t events = in.size_value();
-  row.fault_events.reserve(events);
-  for (std::size_t e = 0; e < events; ++e) {
-    FaultEvent event;
-    event.window = in.size_value();
-    const std::uint8_t kind = in.u8();
-    if (kind > static_cast<std::uint8_t>(FaultEventKind::kDecommission)) {
-      parse_error("unknown fault event kind");
-    }
-    event.kind = static_cast<FaultEventKind>(kind);
-    event.index = static_cast<std::uint32_t>(in.varint());
-    const std::size_t servers = in.size_value();
-    event.servers.reserve(servers);
-    for (std::size_t s = 0; s < servers; ++s) {
-      event.servers.push_back(static_cast<std::uint32_t>(in.varint()));
-    }
-    event.mttr_windows = in.size_value();
-    row.fault_events.push_back(std::move(event));
-  }
-  row.evicted = in.size_value();
-  row.retried = in.size_value();
-  row.permanently_rejected = in.size_value();
-  row.retry_queue_depth = in.size_value();
-  if ((flags & kFlagProviders) != 0) {
-    const std::size_t providers = in.size_value();
-    row.providers.reserve(providers);
-    for (std::size_t i = 0; i < providers; ++i) {
-      ProviderWindowMetrics p;
-      p.provider = static_cast<std::uint32_t>(in.varint());
-      p.online = in.u8() != 0;
-      p.price_multiplier = in.f64();
-      p.running = in.size_value();
-      p.routed = in.size_value();
-      p.rejected = in.size_value();
-      p.evicted = in.size_value();
-      p.redirects_in = in.size_value();
-      p.failed_servers = in.size_value();
-      p.migrations = in.size_value();
-      p.migration_cost = in.f64();
-      p.objectives.usage_cost = in.f64();
-      p.objectives.downtime_cost = in.f64();
-      p.objectives.migration_cost = in.f64();
-      row.providers.push_back(p);
-    }
-    row.redirects = in.size_value();
-    row.offline_providers = in.size_value();
-    row.cross_cloud_migration_cost = in.f64();
-  }
-  if ((flags & kFlagAdmission) != 0) {
-    row.admitted = in.size_value();
-    row.admission_deferred = in.size_value();
-    row.admission_dropped = in.size_value();
-    row.admission_queue_depth = in.size_value();
-  }
-  if ((flags & kFlagShard) != 0) {
-    row.shard.shard_count = in.size_value();
-    row.shard.pre_rejections = in.size_value();
-    row.shard.rebalance_placements = in.size_value();
-    row.shard.migrations = in.size_value();
-    row.shard.max_shard_vms = in.size_value();
-    row.shard.min_shard_vms = in.size_value();
-  }
-  if ((flags & kFlagFairness) != 0) {
-    row.fairness.consumers = in.size_value();
-    row.fairness.strategic_consumers = in.size_value();
-    row.fairness.strategic_vms = in.size_value();
-    row.fairness.jain_index = in.f64();
-    row.fairness.long_term_jain = in.f64();
-    row.fairness.envy = in.f64();
-    row.fairness.utilization_efficiency = in.f64();
-    row.fairness.honest_welfare = in.f64();
-    row.fairness.strategic_welfare = in.f64();
-    row.fairness.energy_cost = in.f64();
-  }
-  const std::uint8_t degrade = in.u8();
-  if (degrade > static_cast<std::uint8_t>(DegradeLevel::kFallback)) {
-    parse_error("unknown degrade level");
-  }
-  row.degrade = static_cast<DegradeLevel>(degrade);
-  row.fallback_algorithm = in.str();
-  row.objectives.usage_cost = in.f64();
-  row.objectives.downtime_cost = in.f64();
-  row.objectives.migration_cost = in.f64();
-  row.solve_seconds = in.f64();
-  if ((flags & kFlagAllocatorTrace) != 0) {
-    row.allocator_trace = read_run_trace(in);
-  }
-  return row;
-}
 
 // ------------------------------------------------------ whole files ---
 
@@ -454,18 +266,6 @@ std::string load_file(const std::string& path) {
   return data;
 }
 
-void flush_trace_counters(std::size_t windows, std::size_t bytes,
-                          std::size_t peak) {
-  telemetry::CounterBlock block;
-  block[telemetry::Counter::kTraceWindowsStreamed] =
-      static_cast<std::uint64_t>(windows);
-  block[telemetry::Counter::kTraceBytesStreamed] =
-      static_cast<std::uint64_t>(bytes);
-  block[telemetry::Counter::kTracePeakBufferBytes] =
-      static_cast<std::uint64_t>(peak);
-  telemetry::Registry::global().flush_counters(block);
-}
-
 }  // namespace
 
 bool is_binary_trace_file(const std::string& path) {
@@ -482,15 +282,15 @@ bool is_binary_trace_file(const std::string& path) {
 
 BinaryTraceKind binary_trace_kind(const std::string& path) {
   const std::string data = load_file(path);
-  ByteReader in(data);
-  return read_header(in);
+  return BinaryReader(data).header();
 }
 
 void write_binary_run_trace(const telemetry::RunTrace& trace,
                             const std::string& path) {
   std::string out;
-  put_header(out, BinaryTraceKind::kRunTrace);
-  put_run_trace(out, trace);
+  BinaryWriter writer(out);
+  writer.header(BinaryTraceKind::kRunTrace);
+  writer.record(trace);
   JsonFileSink sink(path);
   sink.write(out);
   sink.close();
@@ -498,11 +298,12 @@ void write_binary_run_trace(const telemetry::RunTrace& trace,
 
 telemetry::RunTrace read_binary_run_trace(const std::string& path) {
   const std::string data = load_file(path);
-  ByteReader in(data);
-  if (read_header(in) != BinaryTraceKind::kRunTrace) {
+  BinaryReader in(data);
+  if (in.header() != BinaryTraceKind::kRunTrace) {
     parse_error("not a run trace: " + path);
   }
-  telemetry::RunTrace trace = read_run_trace(in);
+  telemetry::RunTrace trace;
+  in.record(trace);
   if (!in.at_end()) {
     parse_error("trailing bytes after run trace");
   }
@@ -520,8 +321,8 @@ void write_binary_sim_trace(const std::vector<WindowMetrics>& metrics,
 
 std::vector<WindowMetrics> read_binary_sim_trace(const std::string& path) {
   const std::string data = load_file(path);
-  ByteReader in(data);
-  if (read_header(in) != BinaryTraceKind::kSimTrace) {
+  BinaryReader in(data);
+  if (in.header() != BinaryTraceKind::kSimTrace) {
     parse_error("not a sim trace: " + path);
   }
   std::vector<WindowMetrics> metrics;
@@ -533,7 +334,7 @@ std::vector<WindowMetrics> read_binary_sim_trace(const std::string& path) {
     if (tag != kRecordWindow) {
       parse_error("unknown record tag");
     }
-    metrics.push_back(read_window(in));
+    in.record(metrics.emplace_back());
   }
   if (!in.at_end()) {
     parse_error("trailing bytes after end marker");
@@ -543,7 +344,7 @@ std::vector<WindowMetrics> read_binary_sim_trace(const std::string& path) {
 
 BinaryTraceWriter::BinaryTraceWriter(const std::string& path)
     : sink_(path) {
-  put_header(buffer_, BinaryTraceKind::kSimTrace);
+  BinaryWriter(buffer_).header(BinaryTraceKind::kSimTrace);
   sink_.write(buffer_);
   buffer_.clear();
 }
@@ -556,7 +357,9 @@ BinaryTraceWriter::~BinaryTraceWriter() {
 
 void BinaryTraceWriter::append(const WindowMetrics& row) {
   IAAS_EXPECT(!finished_, "trace_binary: append after finish");
-  put_window(buffer_, row);
+  BinaryWriter writer(buffer_);
+  writer.u8(kRecordWindow);
+  writer.record(row);
   peak_ = buffer_.size() > peak_ ? buffer_.size() : peak_;
   sink_.write(buffer_);
   buffer_.clear();

@@ -6,7 +6,8 @@
 //   magic   8 bytes  "IAASTRCB"
 //   version u32      format version (currently 1)
 //   kind    u8       0 = RunTrace, 1 = SimTrace
-//   payload          kind-specific, see trace_binary.cpp
+//   payload          the row's field schema in order (sim/window_schema.h,
+//                    common/telemetry.h)
 //
 // Integers are LEB128 varints (window counters are mostly small);
 // doubles are raw IEEE-754 bit patterns (8 bytes LE), so every value —
@@ -14,10 +15,10 @@
 // bit-exactly.  A SimTrace payload is a stream of tagged window records
 // (0x01 ... record, 0x00 end), so the writer never needs the window
 // count up front and a truncated file is detected by the missing end
-// marker.  Optional blocks (providers / admission / shard / allocator
-// trace) are gated by a flags byte under exactly the same conditions as
-// the JSON emission, so binary -> JSON conversion reproduces the JSON
-// file byte-for-byte.
+// marker.  Each window record starts with a flags byte gating its
+// optional blocks under the schema's presence predicates — the same
+// ones the JSON writer uses — so binary -> JSON conversion reproduces
+// the JSON file byte-for-byte.
 //
 // Malformed or truncated input throws std::runtime_error (parse-error
 // contract, like Json::parse); I/O failures abort via IAAS_EXPECT

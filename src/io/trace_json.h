@@ -1,10 +1,9 @@
-// JSON emitters for the telemetry subsystem (common/telemetry):
-// RunTrace -> one object per run ({label, seed, columns, rows}) and a
-// global-registry snapshot ({counters, phase_seconds}).  Lives in io
-// (not common) because iaas_common cannot depend on the Json layer.
+// JSON readers for trace files: the inverse of the streaming writers in
+// io/trace_stream, generated from the same field schema
+// (sim/window_schema.h, common/telemetry.h).  Lives in io (not common)
+// because iaas_common cannot depend on the Json layer.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/telemetry.h"
@@ -13,33 +12,18 @@
 
 namespace iaas {
 
-// {"label": ..., "seed": ..., "columns": [...], "rows": [[...], ...]}.
-// Rows are arrays in columns() order (numbers, not strings) — compact
-// enough to emit per generation, trivially joinable with the CSV twin.
-Json trace_to_json(const telemetry::RunTrace& trace);
-
-// Pretty-printed write through the streaming emitter (io/trace_stream —
-// no intermediate Json tree); fails loudly (IAAS_EXPECT) on an
-// unopenable path or a failed write, mirroring common/csv rules.
-void write_trace_json(const telemetry::RunTrace& trace,
-                      const std::string& path);
-
-// Inverse of trace_to_json: rebuild a RunTrace from its JSON form.
-// Shape errors (missing keys, short rows, unknown columns) throw
-// std::runtime_error.  Seeds and counters are integer lexemes, so the
-// full 64-bit range round-trips exactly.
+// Rebuild a RunTrace from {"label", "seed", "columns", "rows"} — rows
+// are arrays in RunTrace::columns() order.  Shape errors (missing keys,
+// short rows, unknown columns) throw std::runtime_error.  Seeds and
+// counters are integer lexemes, so the full 64-bit range round-trips
+// exactly.
 telemetry::RunTrace trace_from_json(const Json& json);
 
-// One simulator horizon as {"windows": [...]}: every WindowMetrics
-// column including fault events, the retry-queue counters, the degrade
-// level (by name) and the nested allocator trace.  sim_trace_from_json
-// is the exact inverse — emit -> parse -> re-emit is byte-identical,
-// which is how archived runs are validated.
-Json sim_trace_to_json(const std::vector<WindowMetrics>& metrics);
+// One simulator horizon from {"windows": [...]}: every WindowMetrics
+// column including fault events, the optional blocks, the degrade level
+// (by name) and the nested allocator trace.  Exact inverse of
+// write_sim_trace_json — parse -> re-emit is byte-identical, which is
+// how archived runs are validated.
 std::vector<WindowMetrics> sim_trace_from_json(const Json& json);
-
-// Snapshot of telemetry::Registry::global():
-// {"counters": {name: n, ...}, "phase_seconds": {name: s, ...}}.
-Json registry_to_json(const telemetry::Registry& registry);
 
 }  // namespace iaas

@@ -1,6 +1,11 @@
 #include "io/trace_stream.h"
 
+#include <type_traits>
+#include <vector>
+
 #include "common/expect.h"
+#include "common/schema.h"
+#include "sim/window_schema.h"
 
 namespace iaas {
 
@@ -15,237 +20,110 @@ void shrink_scratch(std::string& scratch) {
 
 namespace {
 
-void emit_generation_row(JsonEmitter& e, const telemetry::GenerationRow& row) {
-  // Mirrors RunTrace::columns() order exactly, like row_to_json.
-  e.begin_array();
-  e.value(static_cast<std::uint64_t>(row.generation));
-  e.value(static_cast<std::uint64_t>(row.evaluations));
-  e.value(static_cast<std::uint64_t>(row.full_rebuilds));
-  e.value(static_cast<std::uint64_t>(row.delta_moves));
-  e.value(static_cast<std::uint64_t>(row.rebases));
-  e.value(static_cast<std::uint64_t>(row.repair_invocations));
-  e.value(static_cast<std::uint64_t>(row.repaired));
-  e.value(static_cast<std::uint64_t>(row.unrepairable));
-  e.value(static_cast<std::uint64_t>(row.tabu_moves_tried));
-  e.value(static_cast<std::uint64_t>(row.tabu_moves_accepted));
-  e.value(static_cast<std::uint64_t>(row.front_size));
-  e.value(row.best_objectives[0]);
-  e.value(row.best_objectives[1]);
-  e.value(row.best_objectives[2]);
-  e.value(row.seconds_tournament);
-  e.value(row.seconds_variation);
-  e.value(row.seconds_repair);
-  e.value(row.seconds_evaluate);
-  e.value(row.seconds_selection);
-  e.end_array();
-}
+// JSON writer over the field schema (common/schema.h).  Inside a table
+// row the fields are positional: values only, no keys.
+class JsonWriter {
+ public:
+  explicit JsonWriter(JsonEmitter& e) : e_(e) {}
 
-void emit_fault_event(JsonEmitter& e, const FaultEvent& event) {
-  e.begin_object();
-  e.key("window");
-  e.value(static_cast<std::uint64_t>(event.window));
-  e.key("kind");
-  e.value(fault_event_kind_name(event.kind));
-  e.key("index");
-  e.value(static_cast<std::uint64_t>(event.index));
-  e.key("servers");
-  e.begin_array();
-  for (std::uint32_t s : event.servers) {
-    e.value(static_cast<std::uint64_t>(s));
+  template <class T>
+  void object(const T& row) {
+    e_.begin_object();
+    visit_fields(*this, row);
+    e_.end_object();
   }
-  e.end_array();
-  e.key("mttr_windows");
-  e.value(static_cast<std::uint64_t>(event.mttr_windows));
-  e.end_object();
-}
 
-void emit_provider_metrics(JsonEmitter& e, const ProviderWindowMetrics& p) {
-  e.begin_object();
-  e.key("provider");
-  e.value(static_cast<std::uint64_t>(p.provider));
-  e.key("online");
-  e.value(p.online);
-  e.key("price_multiplier");
-  e.value(p.price_multiplier);
-  e.key("running");
-  e.value(static_cast<std::uint64_t>(p.running));
-  e.key("routed");
-  e.value(static_cast<std::uint64_t>(p.routed));
-  e.key("rejected");
-  e.value(static_cast<std::uint64_t>(p.rejected));
-  e.key("evicted");
-  e.value(static_cast<std::uint64_t>(p.evicted));
-  e.key("redirects_in");
-  e.value(static_cast<std::uint64_t>(p.redirects_in));
-  e.key("failed_servers");
-  e.value(static_cast<std::uint64_t>(p.failed_servers));
-  e.key("migrations");
-  e.value(static_cast<std::uint64_t>(p.migrations));
-  e.key("migration_cost");
-  e.value(p.migration_cost);
-  e.key("objectives");
-  e.begin_array();
-  e.value(p.objectives.usage_cost);
-  e.value(p.objectives.downtime_cost);
-  e.value(p.objectives.migration_cost);
-  e.end_array();
-  e.end_object();
-}
+  template <class T>
+  void count(std::string_view k, T v, Fp) {
+    scalar(k, static_cast<std::uint64_t>(v));
+  }
+  void real(std::string_view k, double v, Fp) { scalar(k, v); }
+  void flag(std::string_view k, bool v, Fp) { scalar(k, v); }
+  template <class E>
+  void enumeration(std::string_view k, E v, const EnumSpec<E>& spec, Fp) {
+    scalar(k, spec.name(v));
+  }
+  void text(std::string_view k, const std::string& v, Fp) {
+    scalar(k, std::string_view(v));
+  }
+  void vec3(std::string_view k, const ObjectiveVector& v, Fp) {
+    key(k);
+    e_.begin_array();
+    e_.value(v.usage_cost);
+    e_.value(v.downtime_cost);
+    e_.value(v.migration_cost);
+    e_.end_array();
+  }
+  template <class T>
+  void list(std::string_view k, const std::vector<T>& items, Fp) {
+    key(k);
+    e_.begin_array();
+    for (const T& item : items) {
+      if constexpr (std::is_arithmetic_v<T>) {
+        e_.value(static_cast<std::uint64_t>(item));
+      } else {
+        object(item);
+      }
+    }
+    e_.end_array();
+  }
+  template <class T>
+  void table(std::string_view columns_key, std::string_view rows_key,
+             const std::vector<T>& rows, Fp) {
+    key(columns_key);
+    e_.begin_array();
+    for_each_column<T>([this](std::string_view name) { e_.value(name); });
+    e_.end_array();
+    key(rows_key);
+    e_.begin_array();
+    for (const T& row : rows) {
+      e_.begin_array();
+      positional_ = true;
+      visit_fields(*this, row);
+      positional_ = false;
+      e_.end_array();
+    }
+    e_.end_array();
+  }
+  template <class Body>
+  void block(const BlockSpec& spec, bool present, Body&& body) {
+    if (!present) {
+      return;
+    }
+    if (!spec.nested) {
+      body(*this);
+      return;
+    }
+    e_.key(spec.key);
+    e_.begin_object();
+    body(*this);
+    e_.end_object();
+  }
+
+ private:
+  void key(std::string_view k) {
+    if (!positional_) {
+      e_.key(k);
+    }
+  }
+  template <class T>
+  void scalar(std::string_view k, T v) {
+    key(k);
+    e_.value(v);
+  }
+
+  JsonEmitter& e_;
+  bool positional_ = false;
+};
 
 }  // namespace
 
 void emit_run_trace(JsonEmitter& e, const telemetry::RunTrace& trace) {
-  e.begin_object();
-  e.key("label");
-  e.value(std::string_view(trace.label));
-  e.key("seed");
-  e.value(trace.seed);
-  e.key("columns");
-  e.begin_array();
-  for (const std::string& name : telemetry::RunTrace::columns()) {
-    e.value(std::string_view(name));
-  }
-  e.end_array();
-  e.key("rows");
-  e.begin_array();
-  for (const telemetry::GenerationRow& row : trace.rows) {
-    emit_generation_row(e, row);
-  }
-  e.end_array();
-  e.end_object();
+  JsonWriter(e).object(trace);
 }
 
 void emit_window_metrics(JsonEmitter& e, const WindowMetrics& row) {
-  e.begin_object();
-  e.key("window");
-  e.value(static_cast<std::uint64_t>(row.window));
-  e.key("arrived");
-  e.value(static_cast<std::uint64_t>(row.arrived));
-  e.key("departed");
-  e.value(static_cast<std::uint64_t>(row.departed));
-  e.key("running");
-  e.value(static_cast<std::uint64_t>(row.running));
-  e.key("rejected");
-  e.value(static_cast<std::uint64_t>(row.rejected));
-  e.key("boots");
-  e.value(static_cast<std::uint64_t>(row.boots));
-  e.key("migrations");
-  e.value(static_cast<std::uint64_t>(row.migrations));
-  e.key("migration_cost");
-  e.value(row.migration_cost);
-  e.key("failed_servers");
-  e.value(static_cast<std::uint64_t>(row.failed_servers));
-  e.key("repaired_servers");
-  e.value(static_cast<std::uint64_t>(row.repaired_servers));
-  e.key("decommissioned_servers");
-  e.value(static_cast<std::uint64_t>(row.decommissioned_servers));
-  e.key("displaced_vms");
-  e.value(static_cast<std::uint64_t>(row.displaced_vms));
-  e.key("vms_on_down_servers");
-  e.value(static_cast<std::uint64_t>(row.vms_on_down_servers));
-  e.key("fault_events");
-  e.begin_array();
-  for (const FaultEvent& event : row.fault_events) {
-    emit_fault_event(e, event);
-  }
-  e.end_array();
-  e.key("evicted");
-  e.value(static_cast<std::uint64_t>(row.evicted));
-  e.key("retried");
-  e.value(static_cast<std::uint64_t>(row.retried));
-  e.key("permanently_rejected");
-  e.value(static_cast<std::uint64_t>(row.permanently_rejected));
-  e.key("retry_queue_depth");
-  e.value(static_cast<std::uint64_t>(row.retry_queue_depth));
-  // Optional blocks under the same conditions as sim_trace_to_json, so
-  // legacy fixtures keep their exact shape.
-  if (!row.providers.empty()) {
-    e.key("providers");
-    e.begin_array();
-    for (const ProviderWindowMetrics& p : row.providers) {
-      emit_provider_metrics(e, p);
-    }
-    e.end_array();
-    e.key("redirects");
-    e.value(static_cast<std::uint64_t>(row.redirects));
-    e.key("offline_providers");
-    e.value(static_cast<std::uint64_t>(row.offline_providers));
-    e.key("cross_cloud_migration_cost");
-    e.value(row.cross_cloud_migration_cost);
-  }
-  if (row.admitted != 0 || row.admission_deferred != 0 ||
-      row.admission_dropped != 0 || row.admission_queue_depth != 0) {
-    e.key("admission");
-    e.begin_object();
-    e.key("admitted");
-    e.value(static_cast<std::uint64_t>(row.admitted));
-    e.key("deferred");
-    e.value(static_cast<std::uint64_t>(row.admission_deferred));
-    e.key("dropped");
-    e.value(static_cast<std::uint64_t>(row.admission_dropped));
-    e.key("queue_depth");
-    e.value(static_cast<std::uint64_t>(row.admission_queue_depth));
-    e.end_object();
-  }
-  if (row.shard.shard_count != 0) {
-    e.key("shard");
-    e.begin_object();
-    e.key("shard_count");
-    e.value(static_cast<std::uint64_t>(row.shard.shard_count));
-    e.key("pre_rejections");
-    e.value(static_cast<std::uint64_t>(row.shard.pre_rejections));
-    e.key("rebalance_placements");
-    e.value(static_cast<std::uint64_t>(row.shard.rebalance_placements));
-    e.key("migrations");
-    e.value(static_cast<std::uint64_t>(row.shard.migrations));
-    e.key("max_shard_vms");
-    e.value(static_cast<std::uint64_t>(row.shard.max_shard_vms));
-    e.key("min_shard_vms");
-    e.value(static_cast<std::uint64_t>(row.shard.min_shard_vms));
-    e.end_object();
-  }
-  if (row.fairness.consumers != 0) {
-    e.key("fairness");
-    e.begin_object();
-    e.key("consumers");
-    e.value(static_cast<std::uint64_t>(row.fairness.consumers));
-    e.key("strategic_consumers");
-    e.value(static_cast<std::uint64_t>(row.fairness.strategic_consumers));
-    e.key("strategic_vms");
-    e.value(static_cast<std::uint64_t>(row.fairness.strategic_vms));
-    e.key("jain_index");
-    e.value(row.fairness.jain_index);
-    e.key("long_term_jain");
-    e.value(row.fairness.long_term_jain);
-    e.key("envy");
-    e.value(row.fairness.envy);
-    e.key("utilization_efficiency");
-    e.value(row.fairness.utilization_efficiency);
-    e.key("honest_welfare");
-    e.value(row.fairness.honest_welfare);
-    e.key("strategic_welfare");
-    e.value(row.fairness.strategic_welfare);
-    e.key("energy_cost");
-    e.value(row.fairness.energy_cost);
-    e.end_object();
-  }
-  e.key("degrade");
-  e.value(degrade_level_name(row.degrade));
-  e.key("fallback_algorithm");
-  e.value(std::string_view(row.fallback_algorithm));
-  e.key("objectives");
-  e.begin_array();
-  e.value(row.objectives.usage_cost);
-  e.value(row.objectives.downtime_cost);
-  e.value(row.objectives.migration_cost);
-  e.end_array();
-  e.key("solve_seconds");
-  e.value(row.solve_seconds);
-  if (!row.allocator_trace.empty()) {
-    e.key("allocator_trace");
-    emit_run_trace(e, row.allocator_trace);
-  }
-  e.end_object();
+  JsonWriter(e).object(row);
 }
 
 void emit_registry(JsonEmitter& e, const telemetry::Registry& registry) {
@@ -346,21 +224,67 @@ void SimTraceWriter::finish() {
   sink_.write(buffer_);
   buffer_.clear();
   sink_.close();
+  flush_trace_counters(windows_, sink_.bytes_written(),
+                       emitter_.peak_buffer_bytes());
+}
+
+void flush_trace_counters(std::size_t windows, std::size_t bytes,
+                          std::size_t peak_buffer_bytes) {
   // Emission happens outside the sim loop (no thread-local sink), so the
   // counters go straight to the global registry.  PeakBuffer merges
   // additively like every counter: with one writer per run it reads as
   // the high-water mark; with several it bounds their sum.
   telemetry::CounterBlock block;
-  block[telemetry::Counter::kTraceWindowsStreamed] =
-      static_cast<std::uint64_t>(windows_);
-  block[telemetry::Counter::kTraceBytesStreamed] =
-      static_cast<std::uint64_t>(sink_.bytes_written());
-  block[telemetry::Counter::kTracePeakBufferBytes] =
-      static_cast<std::uint64_t>(emitter_.peak_buffer_bytes());
+  block[telemetry::Counter::kTraceWindowsStreamed] = windows;
+  block[telemetry::Counter::kTraceBytesStreamed] = bytes;
+  block[telemetry::Counter::kTracePeakBufferBytes] = peak_buffer_bytes;
   telemetry::Registry::global().flush_counters(block);
 }
 
 // ------------------------------------------------ one-shot writers ----
+
+namespace {
+
+// Appends the canonical trace-file text to `out`: one pretty (indent 2)
+// document plus a trailing newline.
+template <class Emit>
+void append_document(std::string& out, const Emit& emit) {
+  JsonEmitter emitter(out, 2);
+  emit(emitter);
+  out += '\n';
+}
+
+// Writes one document through a reusable per-thread scratch buffer,
+// shrunk back after an oversized document so one huge run cannot pin
+// its capacity.
+template <class Emit>
+void write_document(const std::string& path, const Emit& emit) {
+  static thread_local std::string scratch;
+  scratch.clear();
+  append_document(scratch, emit);
+  JsonFileSink sink(path);
+  sink.write(scratch);
+  sink.close();
+  shrink_scratch(scratch);
+}
+
+}  // namespace
+
+std::string sim_trace_json_text(const std::vector<WindowMetrics>& metrics) {
+  std::string out;
+  append_document(out, [&](JsonEmitter& e) {
+    e.begin_object();
+    JsonWriter(e).list("windows", metrics, Fp::kHash);
+    e.end_object();
+  });
+  return out;
+}
+
+std::string run_trace_json_text(const telemetry::RunTrace& trace) {
+  std::string out;
+  append_document(out, [&](JsonEmitter& e) { emit_run_trace(e, trace); });
+  return out;
+}
 
 void write_sim_trace_json(const std::vector<WindowMetrics>& metrics,
                           const std::string& path) {
@@ -371,15 +295,14 @@ void write_sim_trace_json(const std::vector<WindowMetrics>& metrics,
   writer.finish();
 }
 
+void write_trace_json(const telemetry::RunTrace& trace,
+                      const std::string& path) {
+  write_document(path, [&](JsonEmitter& e) { emit_run_trace(e, trace); });
+}
+
 void write_registry_json(const telemetry::Registry& registry,
                          const std::string& path) {
-  JsonFileSink sink(path);
-  std::string buffer;
-  JsonEmitter emitter(buffer, 2);
-  emit_registry(emitter, registry);
-  buffer += '\n';
-  sink.write(buffer);
-  sink.close();
+  write_document(path, [&](JsonEmitter& e) { emit_registry(e, registry); });
 }
 
 }  // namespace iaas

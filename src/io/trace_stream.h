@@ -1,11 +1,12 @@
 // Streaming trace writers — the production emission path for run
 // traces, simulator traces and registry snapshots (DESIGN.md §13).
 //
-// Each emit_* function drives a JsonEmitter through exactly the key
-// order of its tree-building twin in io/trace_json, so the streamed
-// bytes equal `*_to_json(x).dump(indent)` for every input — the legacy
-// Json path stays as the parse/validation side, and the byte-equality
-// is regression-tested (tests/test_trace_io.cpp).
+// emit_run_trace / emit_window_metrics drive a JsonEmitter through the
+// row's field schema (sim/window_schema.h, common/telemetry.h): the
+// same key order, block conditions and number formatting as every other
+// codec.  The emitter shares Json::dump's formatters, so a streamed
+// document equals `Json::parse(streamed).dump(indent)` byte for byte —
+// pinned by tests/test_trace_golden.cpp and the trace_io bench gate.
 //
 // SimTraceWriter is the incremental form: the simulators hand it one
 // WindowMetrics at a time (via set_window_sink) and it flushes each
@@ -19,6 +20,7 @@
 #include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/telemetry.h"
 #include "io/emit.h"
@@ -34,8 +36,8 @@ inline constexpr std::size_t kTraceScratchRetainBytes = 1u << 20;  // 1 MiB
 // threshold (keeps the common small-trace capacity warm).
 void shrink_scratch(std::string& scratch);
 
-// Streaming twins of the io/trace_json tree builders (same key order,
-// same number formatting -> byte-identical output).
+// {"label", "seed", "columns", "rows"} / one window object / a registry
+// snapshot {"counters": {...}, "phase_seconds": {...}}.
 void emit_run_trace(JsonEmitter& emitter, const telemetry::RunTrace& trace);
 void emit_window_metrics(JsonEmitter& emitter, const WindowMetrics& row);
 void emit_registry(JsonEmitter& emitter, const telemetry::Registry& registry);
@@ -62,11 +64,14 @@ class JsonFileSink {
   std::size_t bytes_written_ = 0;
 };
 
+// Adds one trace writer's totals to the trace-IO counters of
+// telemetry::Registry::global() (shared by the JSON and binary writers).
+void flush_trace_counters(std::size_t windows, std::size_t bytes,
+                          std::size_t peak_buffer_bytes);
+
 // Incremental {"windows": [...]} writer.  append() emits one window and
 // drains the buffer to disk; finish() closes the document (trailing
-// newline included) and flushes the trace-IO telemetry counters.  The
-// finished file is byte-identical to
-// `sim_trace_to_json(all_rows).dump(indent) + "\n"`.
+// newline included) and flushes the trace-IO telemetry counters.
 class SimTraceWriter {
  public:
   explicit SimTraceWriter(const std::string& path, int indent = 2);
@@ -95,10 +100,18 @@ class SimTraceWriter {
   bool finished_ = false;
 };
 
+// The canonical trace-file text (pretty indent 2 + trailing newline) in
+// memory — exactly the bytes the file writers below produce.
+std::string sim_trace_json_text(const std::vector<WindowMetrics>& metrics);
+std::string run_trace_json_text(const telemetry::RunTrace& trace);
+
 // One-shot streaming writers (pretty indent 2 + trailing newline, the
-// repo's canonical trace-file form).
+// repo's canonical trace-file form); fail loudly (IAAS_EXPECT) on an
+// unopenable path or a failed write, mirroring common/csv rules.
 void write_sim_trace_json(const std::vector<WindowMetrics>& metrics,
                           const std::string& path);
+void write_trace_json(const telemetry::RunTrace& trace,
+                      const std::string& path);
 void write_registry_json(const telemetry::Registry& registry,
                          const std::string& path);
 

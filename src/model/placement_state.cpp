@@ -170,7 +170,7 @@ std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
   const std::vector<std::int32_t>& cur = placement_.genes();
   std::size_t diff = 0;
   for (std::size_t k = 0; k < n; ++k) {
-    diff += cur[k] != genes[k] ? 1 : 0;
+    diff += cur[k] != genes[k] ? 1u : 0u;
   }
   if (diff == 0) {
     pending_.reset();

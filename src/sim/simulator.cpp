@@ -4,12 +4,15 @@
 #include <cstring>
 #include <deque>
 #include <exception>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "algo/heuristics.h"
 #include "common/expect.h"
 #include "common/stopwatch.h"
 #include "model/assignment_units.h"
+#include "sim/window_schema.h"
 
 namespace iaas {
 namespace {
@@ -42,30 +45,84 @@ void compact_parallel(std::vector<T>& v, const std::vector<char>& keep) {
 
 // --- deterministic fingerprint (FNV-1a, order-sensitive) ---
 
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+// The digest as a window-schema visitor (sim/window_schema.h): hashes
+// each field the schema marks, in schema order.
+struct Fingerprint {
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a offset basis
+  bool present = true;                      // inside present blocks only
 
-void fnv_u64(std::uint64_t& h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
+  [[nodiscard]] bool hashes(Fp fp) const {
+    return fp != Fp::kSkip && (fp != Fp::kIfPresent || present);
   }
-}
-
-void fnv_f64(std::uint64_t& h, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  fnv_u64(h, bits);
-}
-
-void fnv_str(std::uint64_t& h, const std::string& s) {
-  fnv_u64(h, s.size());
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnvPrime;
+  void byte(unsigned char b) {
+    h ^= b;
+    h *= kPrime;
   }
-}
+  void u64(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+  }
+
+  template <class T>
+  void count(std::string_view, T v, Fp fp) {
+    if (hashes(fp)) {
+      u64(static_cast<std::uint64_t>(v));
+    }
+  }
+  void real(std::string_view k, double v, Fp fp) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    count(k, bits, fp);
+  }
+  void flag(std::string_view k, bool v, Fp fp) { count(k, v ? 1 : 0, fp); }
+  template <class E>
+  void enumeration(std::string_view k, E v, const EnumSpec<E>&, Fp fp) {
+    count(k, v, fp);
+  }
+  void text(std::string_view, const std::string& v, Fp fp) {
+    if (hashes(fp)) {
+      u64(v.size());
+      for (char c : v) {
+        byte(static_cast<unsigned char>(c));
+      }
+    }
+  }
+  void vec3(std::string_view k, const ObjectiveVector& v, Fp fp) {
+    real(k, v.usage_cost, fp);
+    real(k, v.downtime_cost, fp);
+    real(k, v.migration_cost, fp);
+  }
+  template <class T>
+  void list(std::string_view, const std::vector<T>& items, Fp fp) {
+    if (!hashes(fp)) {
+      return;
+    }
+    if (fp != Fp::kNoSize) {
+      u64(items.size());
+    }
+    for (const T& item : items) {
+      if constexpr (std::is_arithmetic_v<T>) {
+        u64(item);
+      } else {
+        visit_fields(*this, item);
+      }
+    }
+  }
+  template <class T>
+  void table(std::string_view, std::string_view key,
+             const std::vector<T>& rows, Fp fp) {
+    list(key, rows, fp);
+  }
+  template <class Body>
+  void block(const BlockSpec&, bool block_present, Body&& body) {
+    const bool outer = present;
+    present = outer && block_present;
+    body(*this);
+    present = outer;
+  }
+};
 
 }  // namespace
 
@@ -160,102 +217,9 @@ SimSummary summarize(const std::vector<WindowMetrics>& metrics) {
 
 std::uint64_t deterministic_fingerprint(
     const std::vector<WindowMetrics>& metrics) {
-  std::uint64_t h = kFnvOffset;
-  fnv_u64(h, metrics.size());
-  for (const WindowMetrics& row : metrics) {
-    fnv_u64(h, row.window);
-    fnv_u64(h, row.arrived);
-    fnv_u64(h, row.departed);
-    fnv_u64(h, row.running);
-    fnv_u64(h, row.rejected);
-    fnv_u64(h, row.boots);
-    fnv_u64(h, row.migrations);
-    fnv_f64(h, row.migration_cost);
-    fnv_u64(h, row.failed_servers);
-    fnv_u64(h, row.repaired_servers);
-    fnv_u64(h, row.decommissioned_servers);
-    fnv_u64(h, row.displaced_vms);
-    fnv_u64(h, row.vms_on_down_servers);
-    for (const FaultEvent& e : row.fault_events) {
-      fnv_u64(h, e.window);
-      fnv_u64(h, static_cast<std::uint64_t>(e.kind));
-      fnv_u64(h, e.index);
-      fnv_u64(h, e.servers.size());
-      for (std::uint32_t s : e.servers) {
-        fnv_u64(h, s);
-      }
-      fnv_u64(h, e.mttr_windows);
-    }
-    fnv_u64(h, row.evicted);
-    fnv_u64(h, row.retried);
-    fnv_u64(h, row.permanently_rejected);
-    fnv_u64(h, row.retry_queue_depth);
-    // Multi-cloud columns.  The provider count is hashed even when zero,
-    // so "no market" and "a market of silent providers" stay distinct.
-    fnv_u64(h, row.providers.size());
-    for (const ProviderWindowMetrics& p : row.providers) {
-      fnv_u64(h, p.provider);
-      fnv_u64(h, p.online ? 1 : 0);
-      fnv_f64(h, p.price_multiplier);
-      fnv_u64(h, p.running);
-      fnv_u64(h, p.routed);
-      fnv_u64(h, p.rejected);
-      fnv_u64(h, p.evicted);
-      fnv_u64(h, p.redirects_in);
-      fnv_u64(h, p.failed_servers);
-      fnv_u64(h, p.migrations);
-      fnv_f64(h, p.migration_cost);
-      fnv_f64(h, p.objectives.usage_cost);
-      fnv_f64(h, p.objectives.downtime_cost);
-      fnv_f64(h, p.objectives.migration_cost);
-    }
-    fnv_u64(h, row.redirects);
-    fnv_u64(h, row.offline_providers);
-    fnv_f64(h, row.cross_cloud_migration_cost);
-    fnv_u64(h, row.admitted);
-    fnv_u64(h, row.admission_deferred);
-    fnv_u64(h, row.admission_dropped);
-    fnv_u64(h, row.admission_queue_depth);
-    fnv_u64(h, row.shard.shard_count);
-    fnv_u64(h, row.shard.pre_rejections);
-    fnv_u64(h, row.shard.rebalance_placements);
-    fnv_u64(h, row.shard.migrations);
-    fnv_u64(h, row.shard.max_shard_vms);
-    fnv_u64(h, row.shard.min_shard_vms);
-    // Fairness block: the consumer count is hashed unconditionally (like
-    // providers.size()) so "absent" and "present but idle" differ.
-    fnv_u64(h, row.fairness.consumers);
-    if (row.fairness.consumers != 0) {
-      fnv_u64(h, row.fairness.strategic_consumers);
-      fnv_u64(h, row.fairness.strategic_vms);
-      fnv_f64(h, row.fairness.jain_index);
-      fnv_f64(h, row.fairness.long_term_jain);
-      fnv_f64(h, row.fairness.envy);
-      fnv_f64(h, row.fairness.utilization_efficiency);
-      fnv_f64(h, row.fairness.honest_welfare);
-      fnv_f64(h, row.fairness.strategic_welfare);
-      fnv_f64(h, row.fairness.energy_cost);
-    }
-    fnv_u64(h, static_cast<std::uint64_t>(row.degrade));
-    fnv_str(h, row.fallback_algorithm);
-    fnv_f64(h, row.objectives.usage_cost);
-    fnv_f64(h, row.objectives.downtime_cost);
-    fnv_f64(h, row.objectives.migration_cost);
-    // Trace: only the columns every build mode and thread count agrees
-    // on.  The per-generation counter columns (delta moves, repairs,
-    // tabu tallies) are zero in IAAS_TELEMETRY=OFF builds and the
-    // seconds columns are wall-clock — both excluded by design.
-    fnv_u64(h, row.allocator_trace.rows.size());
-    for (const telemetry::GenerationRow& g : row.allocator_trace.rows) {
-      fnv_u64(h, g.generation);
-      fnv_u64(h, g.evaluations);
-      fnv_u64(h, g.front_size);
-      fnv_f64(h, g.best_objectives[0]);
-      fnv_f64(h, g.best_objectives[1]);
-      fnv_f64(h, g.best_objectives[2]);
-    }
-  }
-  return h;
+  Fingerprint fingerprint;
+  fingerprint.list({}, metrics, Fp::kHash);  // window count, then rows
+  return fingerprint.h;
 }
 
 CloudSimulator::CloudSimulator(SimConfig config,

@@ -17,6 +17,7 @@
 #include "broker/market.h"
 #include "broker/multicloud_sim.h"
 #include "io/trace_json.h"
+#include "io/trace_stream.h"
 #include "sim/retry_queue.h"
 #include "sim/simulator.h"
 #include "workload/generator.h"
@@ -451,7 +452,7 @@ TEST(TraceJson, ProviderColumnsRoundTrip) {
   MultiCloudSimulator sim(tiny_sim_config());
   const std::vector<WindowMetrics> metrics = sim.run(29);
   const std::vector<WindowMetrics> parsed =
-      sim_trace_from_json(sim_trace_to_json(metrics));
+      sim_trace_from_json(Json::parse(sim_trace_json_text(metrics)));
   ASSERT_EQ(parsed.size(), metrics.size());
   for (std::size_t w = 0; w < metrics.size(); ++w) {
     EXPECT_EQ(parsed[w].providers.size(), metrics[w].providers.size());

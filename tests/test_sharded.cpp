@@ -9,6 +9,7 @@
 
 #include "algo/sharded_allocator.h"
 #include "io/trace_json.h"
+#include "io/trace_stream.h"
 #include "model/objectives.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
@@ -318,11 +319,11 @@ TEST(ShardedSimulator, ShardAndAdmissionColumnsRoundTripThroughJson) {
   ASSERT_TRUE(has_shard);
   ASSERT_TRUE(has_admission);
 
-  const Json emitted = sim_trace_to_json(metrics);
-  const std::string text = emitted.dump(2);
-  const std::vector<WindowMetrics> parsed =
-      sim_trace_from_json(Json::parse(text));
-  EXPECT_EQ(sim_trace_to_json(parsed).dump(2), text);
+  const std::string text = sim_trace_json_text(metrics);
+  const Json emitted = Json::parse(text);
+  EXPECT_EQ(emitted.dump(2) + "\n", text);
+  const std::vector<WindowMetrics> parsed = sim_trace_from_json(emitted);
+  EXPECT_EQ(sim_trace_json_text(parsed), text);
   EXPECT_EQ(deterministic_fingerprint(parsed),
             deterministic_fingerprint(metrics));
   ASSERT_EQ(parsed.size(), metrics.size());

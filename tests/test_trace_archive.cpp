@@ -7,6 +7,7 @@
 #include "ea/archive.h"
 #include "ea/nsga3.h"
 #include "io/trace_json.h"
+#include "io/trace_stream.h"
 #include "sim/simulator.h"
 #include "tests/test_util.h"
 #include "workload/trace.h"
@@ -135,11 +136,11 @@ TEST(SimTraceJson, EmitParseReEmitIsByteIdentical) {
   }
   ASSERT_TRUE(has_trace);
 
-  const Json emitted = sim_trace_to_json(metrics);
-  const std::string text = emitted.dump(2);
-  const std::vector<WindowMetrics> parsed =
-      sim_trace_from_json(Json::parse(text));
-  EXPECT_EQ(sim_trace_to_json(parsed).dump(2), text);
+  const std::string text = sim_trace_json_text(metrics);
+  const Json emitted = Json::parse(text);
+  EXPECT_EQ(emitted.dump(2) + "\n", text);
+  const std::vector<WindowMetrics> parsed = sim_trace_from_json(emitted);
+  EXPECT_EQ(sim_trace_json_text(parsed), text);
   // And the parsed horizon is the same run, not just the same text.
   EXPECT_EQ(deterministic_fingerprint(parsed),
             deterministic_fingerprint(metrics));
@@ -166,8 +167,8 @@ TEST(SimTraceJson, RunTraceRoundTripsThroughJson) {
   row.best_objectives = {1.5, 0.0, 2.25};
   row.seconds_evaluate = 0.015625;  // dyadic: exact through JSON
   trace.rows.push_back(row);
-  const Json j = trace_to_json(trace);
-  const telemetry::RunTrace back = trace_from_json(j);
+  const std::string text = run_trace_json_text(trace);
+  const telemetry::RunTrace back = trace_from_json(Json::parse(text));
   EXPECT_EQ(back.label, trace.label);
   EXPECT_EQ(back.seed, trace.seed);
   ASSERT_EQ(back.rows.size(), 1u);
@@ -179,7 +180,7 @@ TEST(SimTraceJson, RunTraceRoundTripsThroughJson) {
   EXPECT_EQ(back.rows[0].front_size, 7u);
   EXPECT_DOUBLE_EQ(back.rows[0].best_objectives[2], 2.25);
   EXPECT_DOUBLE_EQ(back.rows[0].seconds_evaluate, 0.015625);
-  EXPECT_EQ(trace_to_json(back).dump(), j.dump());
+  EXPECT_EQ(run_trace_json_text(back), text);
 }
 
 TEST(SimTraceJson, ShapeErrorsThrow) {

@@ -1,5 +1,5 @@
 // The streaming trace path (io/emit + io/trace_stream) and the compact
-// binary trace format (io/trace_binary): emitter-vs-tree byte
+// binary trace format (io/trace_binary): emitter-vs-Json::dump byte
 // equivalence, incremental per-window flushing, and lossless binary
 // round trips over every trace flavour (faulted, admission-controlled,
 // sharded, brokered).
@@ -244,7 +244,7 @@ std::vector<WindowMetrics> brokered_run() {
 
 std::string canonical_sim_trace_text(
     const std::vector<WindowMetrics>& rows) {
-  return sim_trace_to_json(rows).dump(2) + "\n";
+  return sim_trace_json_text(rows);
 }
 
 // --- streaming writers ----------------------------------------------
@@ -254,7 +254,10 @@ TEST(SimTraceStreaming, FileIsByteIdenticalToTheTreeDump) {
   ASSERT_GT(summarize(rows).fault_events, 0u);
   const std::string path = temp_path("iaas_trace_stream.json");
   write_sim_trace_json(rows, path);
-  EXPECT_EQ(load_text(path), canonical_sim_trace_text(rows));
+  const std::string text = load_text(path);
+  EXPECT_EQ(text, canonical_sim_trace_text(rows));
+  // The emitter's formatting is Json::dump's, byte for byte.
+  EXPECT_EQ(text, Json::parse(text).dump(2) + "\n");
   std::filesystem::remove(path);
 }
 
@@ -431,7 +434,7 @@ TEST(BinaryTrace, StrategicTraceRoundTrips) {
 
 TEST(SimTraceJson, FairnessBlockRoundTripsThroughJson) {
   const std::vector<WindowMetrics> rows = strategic_run();
-  const Json doc = sim_trace_to_json(rows);
+  const Json doc = Json::parse(canonical_sim_trace_text(rows));
   const Json& windows = doc.at("windows");
   bool any_block = false;
   for (std::size_t i = 0; i < windows.size(); ++i) {
@@ -471,7 +474,7 @@ TEST(BinaryTrace, RunTraceWithHuge64BitSeedRoundTrips) {
 
   // Through JSON (integer lexemes)...
   const telemetry::RunTrace via_json =
-      trace_from_json(Json::parse(trace_to_json(trace).dump()));
+      trace_from_json(Json::parse(run_trace_json_text(trace)));
   EXPECT_EQ(via_json.seed, trace.seed);
   EXPECT_EQ(via_json.rows[0].evaluations, trace.rows[0].evaluations);
 
@@ -485,7 +488,7 @@ TEST(BinaryTrace, RunTraceWithHuge64BitSeedRoundTrips) {
   ASSERT_EQ(reloaded.rows.size(), 1u);
   EXPECT_EQ(reloaded.rows[0].evaluations, trace.rows[0].evaluations);
   EXPECT_DOUBLE_EQ(reloaded.rows[0].seconds_evaluate, 0.25);
-  EXPECT_EQ(trace_to_json(reloaded).dump(), trace_to_json(trace).dump());
+  EXPECT_EQ(run_trace_json_text(reloaded), run_trace_json_text(trace));
   std::filesystem::remove(path);
 }
 
@@ -514,6 +517,21 @@ TEST(BinaryTrace, MalformedInputThrows) {
   // Kind confusion: a sim trace is not a run trace.
   write_binary_sim_trace(rows, path);
   EXPECT_THROW(read_binary_run_trace(path), std::runtime_error);
+
+  // A list count far beyond the file's size is a parse error, not an
+  // attempt to reserve 2^62 elements.
+  {
+    std::string bytes(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
+    bytes += std::string("\x01\x00\x00\x00\x01", 5);  // version, kind
+    bytes += std::string("\x01\x00", 2);  // window record, no blocks
+    bytes += std::string(7, '\x00');       // window .. migrations
+    bytes += std::string(8, '\x00');       // migration_cost
+    bytes += std::string(5, '\x00');       // failed .. vms_on_down
+    bytes += std::string("\x80\x80\x80\x80\x80\x80\x80\x80\x40", 9);
+    std::ofstream out(path, std::ios::binary);
+    out << bytes;
+  }
+  EXPECT_THROW(read_binary_sim_trace(path), std::runtime_error);
   std::filesystem::remove(path);
 }
 
