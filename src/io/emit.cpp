@@ -41,11 +41,6 @@ void JsonEmitter::before_value() {
 
 void JsonEmitter::after_value() {
   peak_ = std::max(peak_, out_.size());
-  if (flush_ && out_.size() >= flush_threshold_) {
-    bytes_emitted_ += out_.size();
-    flush_(out_);
-    out_.clear();
-  }
 }
 
 void JsonEmitter::begin_object() {
@@ -133,51 +128,6 @@ void JsonEmitter::value(std::string_view s) {
   before_value();
   json_detail::escape_string(s, out_);
   after_value();
-}
-
-void JsonEmitter::value_raw(std::string_view raw) {
-  before_value();
-  out_ += raw;
-  after_value();
-}
-
-void emit_json(JsonEmitter& emitter, const Json& value) {
-  switch (value.type()) {
-    case Json::Type::kNull:
-      emitter.value_null();
-      return;
-    case Json::Type::kBool:
-      emitter.value(value.as_bool());
-      return;
-    case Json::Type::kNumber:
-      // Preserve the storage form so integer lexemes re-emit exactly.
-      if (value.holds_unsigned()) {
-        emitter.value(value.as_uint64());
-      } else if (value.holds_signed()) {
-        emitter.value(value.as_int64());
-      } else {
-        emitter.value(value.as_number());
-      }
-      return;
-    case Json::Type::kString:
-      emitter.value(std::string_view(value.as_string()));
-      return;
-    case Json::Type::kArray:
-      emitter.begin_array();
-      for (std::size_t i = 0; i < value.size(); ++i) {
-        emit_json(emitter, value.at(i));
-      }
-      emitter.end_array();
-      return;
-    case Json::Type::kObject:
-      emitter.begin_object();
-      for (const auto& [key, element] : value.items()) {
-        emitter.key(key);
-        emit_json(emitter, element);
-      }
-      emitter.end_object();
-      return;
-  }
 }
 
 }  // namespace iaas

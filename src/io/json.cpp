@@ -133,14 +133,6 @@ std::int64_t Json::as_int64() const {
   fail("not a number");
 }
 
-bool Json::holds_unsigned() const {
-  return std::holds_alternative<std::uint64_t>(value_);
-}
-
-bool Json::holds_signed() const {
-  return std::holds_alternative<std::int64_t>(value_);
-}
-
 const std::string& Json::as_string() const {
   if (const std::string* s = std::get_if<std::string>(&value_)) {
     return *s;
@@ -447,15 +439,6 @@ std::string Json::dump(int indent) const {
   out.reserve(dump_estimate(indent, 0));
   dump_to(out, indent, 0);
   return out;
-}
-
-void Json::dump_into(std::string& out, int indent) const {
-  out.clear();
-  const std::size_t estimate = dump_estimate(indent, 0);
-  if (out.capacity() < estimate) {
-    out.reserve(estimate);
-  }
-  dump_to(out, indent, 0);
 }
 
 // --------------------------------------------------------------- parse --

@@ -80,10 +80,6 @@ class Json {
   [[nodiscard]] std::int64_t as_int64() const;
   [[nodiscard]] const std::string& as_string() const;
 
-  // Number storage introspection (for exact re-emission by io/emit).
-  [[nodiscard]] bool holds_unsigned() const;
-  [[nodiscard]] bool holds_signed() const;
-
   // --- array interface ---
   void push_back(Json element);
   [[nodiscard]] std::size_t size() const;  // array or object
@@ -100,19 +96,13 @@ class Json {
   // with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = -1) const;
 
-  // Serialise into a caller-owned buffer (cleared first), reserving it
-  // from a structural size estimate so the append loop never reallocates
-  // mid-dump.  Emitters writing many documents keep one scratch string
-  // across calls and pay for its growth only once.
-  void dump_into(std::string& out, int indent = -1) const;
-
   // Parse a complete JSON document (trailing garbage is an error).
   static Json parse(std::string_view text);
 
   // Containers may nest at most this deep when parsing; deeper input
   // throws like any other parse error.  Bounds the recursive descent's
   // stack — and, since every parsed document respects it, the recursive
-  // dump/emit walks too — so adversarially nested input (e.g. 10k '['s)
+  // dump walk too — so adversarially nested input (e.g. 10k '['s)
   // fails loud instead of overflowing the stack.
   static constexpr int kMaxParseDepth = 1000;
 
@@ -126,8 +116,8 @@ class Json {
 
   void dump_to(std::string& out, int indent, int depth) const;
   // Upper-ish bound on the dump's byte size (exact for structure and
-  // indentation, padded for numbers/escapes) — what dump/dump_into
-  // reserve before appending.
+  // indentation, padded for numbers/escapes) — what dump reserves
+  // before appending.
   [[nodiscard]] std::size_t dump_estimate(int indent, int depth) const;
 
   std::variant<std::nullptr_t, bool, double, std::int64_t, std::uint64_t,

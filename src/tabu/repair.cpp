@@ -1,7 +1,7 @@
 #include "tabu/repair.h"
 
 #include <algorithm>
-#include <numeric>
+#include <ranges>
 
 #include "common/expect.h"
 #include "common/telemetry.h"
@@ -15,63 +15,48 @@ TabuRepair::TabuRepair(const Instance& instance, TabuRepairOptions options,
       options_(options),
       checker_(instance),
       tables_(tables ? std::move(tables)
-                     : std::make_shared<const StateTables>(instance)),
-      neighbour_order_(instance.m()) {
-  const Fabric& fabric = instance.infra.fabric();
-  for (std::size_t server = 0; server < instance.m(); ++server) {
-    auto& order = neighbour_order_[server];
-    order.resize(instance.m());
-    std::iota(order.begin(), order.end(), 0u);
-    const auto src = static_cast<std::uint32_t>(server);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return fabric.hop_distance(src, a) <
-                              fabric.hop_distance(src, b);
-                     });
-  }
-}
-
-const std::vector<std::uint32_t>& TabuRepair::neighbours_of(
-    std::size_t server) const {
-  return neighbour_order_[server];
-}
+                     : std::make_shared<const StateTables>(instance)) {}
 
 std::int32_t TabuRepair::find_neighbour(const PlacementState& state,
                                         std::size_t k,
                                         const TabuList& tabu) const {
   telemetry::count(telemetry::Counter::kTabuMovesTried);
   const std::int32_t current = state.placement().server_of(k);
-  const std::size_t anchor =
-      current >= 0 ? static_cast<std::size_t>(current) : 0;
-  for (std::uint32_t j : neighbours_of(anchor)) {
-    if (static_cast<std::int32_t>(j) == current) {
-      continue;
-    }
-    if (tabu.is_tabu(static_cast<std::uint32_t>(k),
-                     static_cast<std::int32_t>(j))) {
-      continue;
-    }
-    if (checker_.is_valid_move(state, k, j)) {
-      return static_cast<std::int32_t>(j);
-    }
-  }
-  return Placement::kRejected;
+  const auto anchor = static_cast<std::uint32_t>(current >= 0 ? current : 0);
+  const std::uint32_t target = instance_->infra.fabric().nearest_server(
+      anchor, [&](std::uint32_t j) {
+        return static_cast<std::int32_t>(j) != current &&
+               !tabu.is_tabu(static_cast<std::uint32_t>(k),
+                             static_cast<std::int32_t>(j)) &&
+               checker_.is_valid_move(state, k, j);
+      });
+  return target == Fabric::kNoServer ? Placement::kRejected
+                                     : static_cast<std::int32_t>(target);
+}
+
+void TabuRepair::accept_move(PlacementState& state, std::uint32_t k,
+                             std::int32_t target, TabuList& tabu) const {
+  telemetry::count(telemetry::Counter::kTabuMovesAccepted);
+  const std::int32_t from = state.placement().server_of(k);
+  state.apply_move(k, target);
+  tabu.forbid(k, from);  // don't bounce straight back
 }
 
 bool TabuRepair::relocate_group(PlacementState& state,
                                 const std::vector<std::uint32_t>& vms,
-                                std::int32_t target, TabuList& tabu) const {
+                                std::uint32_t target, TabuList& tabu) const {
   telemetry::count(telemetry::Counter::kTabuMovesTried);
   const Instance& inst = *instance_;
   const Placement& placement = state.placement();
   const auto t = static_cast<std::size_t>(target);
+  const auto to = static_cast<std::int32_t>(target);
   const Server& server = inst.infra.server(t);
 
   // Capacity check for the members not already on the target.
   for (std::size_t l = 0; l < inst.h(); ++l) {
     double incoming = 0.0;
     for (std::uint32_t k : vms) {
-      if (placement.is_assigned(k) && placement.server_of(k) != target) {
+      if (placement.is_assigned(k) && placement.server_of(k) != to) {
         incoming += inst.requests.vms[k].demand[l];
       }
     }
@@ -89,13 +74,16 @@ bool TabuRepair::relocate_group(PlacementState& state,
   // with a member's other constraints for the next pass.
   bool moved = false;
   for (std::uint32_t k : vms) {
-    if (!placement.is_assigned(k) || placement.server_of(k) == target) {
+    if (!placement.is_assigned(k) || placement.server_of(k) == to) {
       continue;
     }
     const std::int32_t from = placement.server_of(k);
-    state.apply_move(k, target);
+    state.apply_move(k, to);
     tabu.forbid(k, from);
     moved = true;
+  }
+  if (moved) {
+    telemetry::count(telemetry::Counter::kTabuMovesAccepted);
   }
   return moved;
 }
@@ -103,6 +91,7 @@ bool TabuRepair::relocate_group(PlacementState& state,
 bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
                                  Rng& rng) const {
   const Instance& inst = *instance_;
+  const Fabric& fabric = inst.infra.fabric();
   bool moved_any = false;
 
   for (std::size_t j = 0; j < inst.m(); ++j) {
@@ -124,9 +113,7 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
       if (target == Placement::kRejected) {
         continue;  // no valid neighbour for this VM; try shedding others
       }
-      const std::int32_t from = state.placement().server_of(k);
-      state.apply_move(k, target);
-      tabu.forbid(k, from);  // don't bounce straight back
+      accept_move(state, k, target, tabu);
       moved_any = true;
     }
 
@@ -151,15 +138,12 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
         if (!anchored_here) {
           continue;
         }
-        for (std::uint32_t target : neighbours_of(j)) {
-          if (target == j) {
-            continue;
-          }
-          if (relocate_group(state, c.vms,
-                             static_cast<std::int32_t>(target), tabu)) {
-            moved_any = true;
-            break;
-          }
+        const auto relocate_off = [&](std::uint32_t target) {
+          return target != j && relocate_group(state, c.vms, target, tabu);
+        };
+        if (fabric.nearest_server(static_cast<std::uint32_t>(j),
+                                  relocate_off) != Fabric::kNoServer) {
+          moved_any = true;
         }
       }
     }
@@ -170,6 +154,7 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
 bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
                                   Rng& rng) const {
   const Instance& inst = *instance_;
+  const Fabric& fabric = inst.infra.fabric();
   bool moved_any = false;
 
   for (const PlacementConstraint& c : inst.requests.constraints) {
@@ -182,25 +167,24 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
         // never reassemble a group scattered over 3+ servers, because the
         // first mover is invalid against its not-yet-moved peers).
         // Anchor candidates: each member's current host (cheapest moves),
-        // then the full fabric-ordered neighbour list.
-        std::vector<std::int32_t> anchors;
-        for (std::uint32_t anchor_vm : c.vms) {
-          if (state.placement().is_assigned(anchor_vm)) {
-            anchors.push_back(state.placement().server_of(anchor_vm));
-          }
+        // then the fabric walk from the first member's host.  A failed
+        // relocation moves nothing, so the hosts stay put meanwhile.
+        const auto relocate_to = [&](std::uint32_t target) {
+          return relocate_group(state, c.vms, target, tabu);
+        };
+        auto hosts = c.vms | std::views::filter([&](std::uint32_t k) {
+                       return state.placement().is_assigned(k);
+                     }) |
+                     std::views::transform([&](std::uint32_t k) {
+                       return static_cast<std::uint32_t>(
+                           state.placement().server_of(k));
+                     });
+        bool relocated = std::ranges::any_of(hosts, relocate_to);
+        if (!relocated && !hosts.empty()) {
+          relocated = fabric.nearest_server(hosts.front(), relocate_to) !=
+                      Fabric::kNoServer;
         }
-        if (!anchors.empty()) {
-          for (std::uint32_t j : neighbours_of(
-                   static_cast<std::size_t>(anchors.front()))) {
-            anchors.push_back(static_cast<std::int32_t>(j));
-          }
-        }
-        for (const std::int32_t anchor : anchors) {
-          if (relocate_group(state, c.vms, anchor, tabu)) {
-            moved_any = true;
-            break;
-          }
-        }
+        moved_any = moved_any || relocated;
         break;
       }
       case RelationKind::kSameDatacenter: {
@@ -224,13 +208,13 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
           if (inst.infra.datacenter_of(cur) == anchor_dc) {
             continue;
           }
-          for (std::uint32_t j : neighbours_of(cur)) {
-            if (inst.infra.datacenter_of(j) != anchor_dc) {
-              continue;
-            }
+          // Every anchor-DC server is 6 hops from `cur`, so the nearest
+          // valid one is the first valid id of the anchor DC's range.
+          telemetry::count(telemetry::Counter::kTabuMovesTried);
+          for (std::uint32_t j : fabric.servers_in_datacenter(
+                   static_cast<std::uint32_t>(anchor_dc))) {
             if (checker_.is_valid_move(state, k, j)) {
-              state.apply_move(k, static_cast<std::int32_t>(j));
-              tabu.forbid(k, static_cast<std::int32_t>(cur));
+              accept_move(state, k, static_cast<std::int32_t>(j), tabu);
               moved_any = true;
               break;
             }
@@ -264,8 +248,7 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
           if (target == Placement::kRejected) {
             continue;
           }
-          state.apply_move(k, target);
-          tabu.forbid(k, cur);
+          accept_move(state, k, target, tabu);
           moved_any = true;
           const std::int32_t new_slot =
               c.kind == RelationKind::kDifferentServers
@@ -309,7 +292,6 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
     return 0;
   }
   telemetry::count(telemetry::Counter::kRepairInvocations);
-  const std::size_t moves_before = state.applied_moves();
   TabuList tabu(options_.tabu_tenure);
 
   std::uint32_t remaining = state.total_violations();
@@ -333,8 +315,6 @@ std::uint32_t TabuRepair::repair_state(PlacementState& state,
     }
     remaining = state.total_violations();
   }
-  telemetry::count(telemetry::Counter::kTabuMovesAccepted,
-                   state.applied_moves() - moves_before);
   telemetry::count(remaining == 0
                        ? telemetry::Counter::kRepairedIndividuals
                        : telemetry::Counter::kUnrepairableIndividuals);

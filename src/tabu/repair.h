@@ -6,9 +6,9 @@
 // Faithful to Fig. 5/6 with two practical refinements (DESIGN.md §6):
 //   * VMs are moved off an overloaded server only until it fits again
 //     (Fig. 5 as written empties the whole server);
-//   * "nearest" neighbour is resolved through the spine-leaf fabric — the
-//     candidate list is ordered by hop distance from the current host, so
-//     repairs prefer same-leaf, then same-DC, then remote servers.
+//   * "nearest" neighbour is resolved through the spine-leaf fabric —
+//     Fabric::nearest_server walks the servers by hop distance from the
+//     current host (same leaf, then same DC, then remote), table-free.
 // Relationship groups (Eqs. 9-12) are repaired after capacity: members of
 // a violated group are re-anchored onto a server/datacenter that can
 // legally take them.
@@ -48,6 +48,9 @@ class TabuRepair {
   // constraint violations remaining afterwards (0 = fully repaired).
   // Safe to call concurrently from evaluation threads: all shared members
   // are immutable after construction.
+  // Each move decision (find_neighbour, relocate_group, a same-DC
+  // straggler search) counts one kTabuMovesTried and, when it applies,
+  // one kTabuMovesAccepted; kDeltaMoves counts the individual VM moves.
   std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng) const;
 
   // Same walk on a caller-owned PlacementState already rebuilt to the
@@ -71,10 +74,15 @@ class TabuRepair {
 
   // Move a whole VM group onto `target` if its aggregate demand fits
   // (atomic relocation — required for same-server groups, whose members
-  // cannot legally move one at a time).  Returns true when members moved.
+  // cannot legally move one at a time).  Returns true when members moved;
+  // a false return leaves the state untouched.
   bool relocate_group(PlacementState& state,
                       const std::vector<std::uint32_t>& vms,
-                      std::int32_t target, class TabuList& tabu) const;
+                      std::uint32_t target, class TabuList& tabu) const;
+
+  // Applies one accepted single-VM decision and forbids the way back.
+  void accept_move(PlacementState& state, std::uint32_t k,
+                   std::int32_t target, class TabuList& tabu) const;
 
   bool repair_capacity(PlacementState& state, class TabuList& tabu,
                        Rng& rng) const;
@@ -85,12 +93,6 @@ class TabuRepair {
   TabuRepairOptions options_;
   ConstraintChecker checker_;
   std::shared_ptr<const StateTables> tables_;
-  // Candidate server ordering per source server (by fabric hop distance),
-  // precomputed in the constructor: the heart of the "nearest neighbour"
-  // scan, immutable afterwards so one repair functor can be shared across
-  // evaluation threads.
-  std::vector<std::vector<std::uint32_t>> neighbour_order_;
-  const std::vector<std::uint32_t>& neighbours_of(std::size_t server) const;
 };
 
 }  // namespace iaas

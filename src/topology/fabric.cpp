@@ -18,7 +18,6 @@ Fabric::Fabric(const FabricConfig& config) : config_(config) {
   for (std::uint32_t c = 0; c < config.cores; ++c) {
     nodes_.push_back({NodeKind::kCore, kNoDatacenter, c});
   }
-  server_node_ids_.reserve(server_count_);
 
   for (std::uint32_t dc = 0; dc < config.datacenters; ++dc) {
     std::vector<std::uint32_t> spine_ids;
@@ -44,17 +43,8 @@ Fabric::Fabric(const FabricConfig& config) : config_(config) {
             {NodeKind::kServer, dc,
              l * config.servers_per_leaf + s});
         links_.push_back({leaf_id, server_id, config.leaf_server_gbps});
-        server_node_ids_.push_back(server_id);
       }
     }
-  }
-  // Leaf-major server index table backing the servers_on_leaf spans.
-  // Global server ids are already leaf-major, so the table is the
-  // identity sequence — kept as an explicit table so the span contract
-  // survives any future reordering of the global layout.
-  leaf_servers_.resize(server_count_);
-  for (std::uint32_t j = 0; j < server_count_; ++j) {
-    leaf_servers_[j] = j;
   }
 }
 
@@ -68,14 +58,19 @@ std::uint32_t Fabric::leaf_of_server(std::uint32_t server) const {
   return (server % servers_per_datacenter()) / config_.servers_per_leaf;
 }
 
-std::span<const std::uint32_t> Fabric::servers_on_leaf(
-    std::uint32_t datacenter, std::uint32_t leaf) const {
+ServerRange Fabric::servers_on_leaf(std::uint32_t datacenter,
+                                    std::uint32_t leaf) const {
   IAAS_EXPECT(datacenter < config_.datacenters, "datacenter out of range");
   IAAS_EXPECT(leaf < config_.leaves_per_dc, "leaf out of range");
-  const std::size_t base =
-      static_cast<std::size_t>(datacenter) * servers_per_datacenter() +
-      static_cast<std::size_t>(leaf) * config_.servers_per_leaf;
-  return {leaf_servers_.data() + base, config_.servers_per_leaf};
+  const std::uint32_t begin = datacenter * servers_per_datacenter() +
+                              leaf * config_.servers_per_leaf;
+  return {begin, begin + config_.servers_per_leaf};
+}
+
+ServerRange Fabric::servers_in_datacenter(std::uint32_t datacenter) const {
+  IAAS_EXPECT(datacenter < config_.datacenters, "datacenter out of range");
+  const std::uint32_t begin = datacenter * servers_per_datacenter();
+  return {begin, begin + servers_per_datacenter()};
 }
 
 std::uint32_t Fabric::global_leaf_of_server(std::uint32_t server) const {
@@ -83,8 +78,7 @@ std::uint32_t Fabric::global_leaf_of_server(std::uint32_t server) const {
          leaf_of_server(server);
 }
 
-std::span<const std::uint32_t> Fabric::servers_on_global_leaf(
-    std::uint32_t global_leaf) const {
+ServerRange Fabric::servers_on_global_leaf(std::uint32_t global_leaf) const {
   IAAS_EXPECT(global_leaf < leaf_count(), "global leaf out of range");
   return servers_on_leaf(global_leaf / config_.leaves_per_dc,
                          global_leaf % config_.leaves_per_dc);

@@ -7,12 +7,16 @@
 // datacenter membership, but the fabric provides the physical quantities
 // the cost and workload models draw on: hop distances (migration locality),
 // path redundancy (availability) and bisection bandwidth.
+// Server ids are datacenter-major and leaf-major: the ids are the fabric
+// order, so no per-server table is kept (DESIGN.md §6).
 #pragma once
 
 #include <cstdint>
-#include <span>
+#include <ranges>
 #include <string>
 #include <vector>
+
+#include "common/expect.h"
 
 namespace iaas {
 
@@ -41,9 +45,13 @@ struct FabricConfig {
   double leaf_server_gbps = 10.0;
 };
 
+// A contiguous run of global server ids [begin, end).
+using ServerRange = std::ranges::iota_view<std::uint32_t, std::uint32_t>;
+
 class Fabric {
  public:
   static constexpr std::uint32_t kNoDatacenter = 0xffffffffu;
+  static constexpr std::uint32_t kNoServer = 0xffffffffu;
 
   explicit Fabric(const FabricConfig& config);
 
@@ -60,11 +68,11 @@ class Fabric {
   [[nodiscard]] std::uint32_t datacenter_of_server(std::uint32_t server) const;
   [[nodiscard]] std::uint32_t leaf_of_server(std::uint32_t server) const;
 
-  // Global server indices hosted by a (datacenter, leaf) pair: a view
-  // into a leaf-major index table precomputed at construction — no
-  // allocation per call (hot in fault injection and shard slicing).
-  [[nodiscard]] std::span<const std::uint32_t> servers_on_leaf(
-      std::uint32_t datacenter, std::uint32_t leaf) const;
+  // The servers of a (datacenter, leaf) pair / of one datacenter.
+  [[nodiscard]] ServerRange servers_on_leaf(std::uint32_t datacenter,
+                                            std::uint32_t leaf) const;
+  [[nodiscard]] ServerRange servers_in_datacenter(
+      std::uint32_t datacenter) const;
 
   // Leaves enumerated globally (datacenter-major, matching the global
   // server order), so correlated failure domains can be indexed with one
@@ -75,13 +83,43 @@ class Fabric {
   }
   [[nodiscard]] std::uint32_t global_leaf_of_server(
       std::uint32_t server) const;
-  [[nodiscard]] std::span<const std::uint32_t> servers_on_global_leaf(
+  [[nodiscard]] ServerRange servers_on_global_leaf(
       std::uint32_t global_leaf) const;
 
   // Network hop count between two servers: 0 same server, 2 same leaf,
   // 4 same DC (leaf-spine-leaf), 6 across DCs (via core).
   [[nodiscard]] std::uint32_t hop_distance(std::uint32_t server_a,
                                            std::uint32_t server_b) const;
+
+  // Nearest-first walk: offers servers to `accept` in the order of
+  // stable_sort(all ids, by hop_distance(source, .)) and returns the
+  // first one accepted (kNoServer if none is).
+  template <typename Accept>
+  std::uint32_t nearest_server(std::uint32_t source, Accept&& accept) const {
+    IAAS_EXPECT(source < server_count_, "server index out of range");
+    const std::uint32_t per_leaf = config_.servers_per_leaf;
+    const std::uint32_t per_dc = servers_per_datacenter();
+    const std::uint32_t leaf_b = source / per_leaf * per_leaf;
+    const std::uint32_t leaf_e = leaf_b + per_leaf;
+    const std::uint32_t dc_b = source / per_dc * per_dc;
+    const std::uint32_t dc_e = dc_b + per_dc;
+    // Self, then the rest of its leaf, of its datacenter, of the fleet:
+    // each tier ascending, split around the nearer tier it contains.  One
+    // loop body over a bounds table, so `accept` is inlined once and the
+    // per-candidate code stays as tight as a walk over a stored order.
+    const std::uint32_t tiers[7][2] = {
+        {source, source + 1}, {leaf_b, source}, {source + 1, leaf_e},
+        {dc_b, leaf_b},       {leaf_e, dc_e},   {0, dc_b},
+        {dc_e, server_count_}};
+    for (const auto& [begin, end] : tiers) {
+      for (std::uint32_t j = begin; j < end; ++j) {
+        if (accept(j)) {
+          return j;
+        }
+      }
+    }
+    return kNoServer;
+  }
 
   // Number of edge-disjoint shortest paths between two servers; the
   // redundancy the spine-leaf design buys [19].
@@ -107,11 +145,6 @@ class Fabric {
   std::uint32_t server_count_;
   std::vector<FabricNode> nodes_;
   std::vector<FabricLink> links_;
-  std::vector<std::uint32_t> server_node_ids_;  // server index -> node id
-  // Global server ids in leaf-major order: global leaf g's servers are
-  // the contiguous run [g * servers_per_leaf, (g+1) * servers_per_leaf)
-  // of this table, which servers_on_leaf returns as a span.
-  std::vector<std::uint32_t> leaf_servers_;
 };
 
 }  // namespace iaas

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <tuple>
+#include <vector>
 
 namespace iaas {
 namespace {
@@ -143,7 +146,10 @@ TEST_P(FabricShape, StructureConsistent) {
     EXPECT_LT(dc, dcs);
     EXPECT_LT(leaf, leaves);
     const auto on_leaf = fabric.servers_on_leaf(dc, leaf);
-    EXPECT_NE(std::find(on_leaf.begin(), on_leaf.end(), s), on_leaf.end());
+    EXPECT_EQ(on_leaf.size(), per_leaf);
+    EXPECT_NE(std::ranges::find(on_leaf, s), on_leaf.end());
+    const auto in_dc = fabric.servers_in_datacenter(dc);
+    EXPECT_NE(std::ranges::find(in_dc, s), in_dc.end());
   }
   // Redundancy between distinct-leaf servers equals the spine count.
   if (leaves >= 2) {
@@ -160,6 +166,76 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(3u, 4u, 8u, 16u),
                       std::make_tuple(4u, 2u, 1u, 2u),
                       std::make_tuple(2u, 8u, 16u, 4u)));
+
+// The reference order for the nearest-first walk: every server id
+// stable-sorted by hop distance from the source.
+std::vector<std::uint32_t> hop_sorted(const Fabric& fabric,
+                                      std::uint32_t source) {
+  std::vector<std::uint32_t> order(fabric.server_count());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return fabric.hop_distance(source, a) <
+                            fabric.hop_distance(source, b);
+                   });
+  return order;
+}
+
+class FabricWalk
+    : public ::testing::TestWithParam<
+          std::tuple<std::uint32_t, std::uint32_t, std::uint32_t>> {
+ protected:
+  static Fabric make_fabric() {
+    const auto [dcs, leaves, per_leaf] = GetParam();
+    FabricConfig fc;
+    fc.datacenters = dcs;
+    fc.leaves_per_dc = leaves;
+    fc.servers_per_leaf = per_leaf;
+    return Fabric(fc);
+  }
+};
+
+TEST_P(FabricWalk, VisitsExactlyTheStableHopOrder) {
+  const Fabric fabric = make_fabric();
+  for (std::uint32_t source = 0; source < fabric.server_count(); ++source) {
+    std::vector<std::uint32_t> visited;
+    const std::uint32_t accepted =
+        fabric.nearest_server(source, [&](std::uint32_t j) {
+          visited.push_back(j);
+          return false;
+        });
+    EXPECT_EQ(accepted, Fabric::kNoServer);
+    EXPECT_EQ(visited, hop_sorted(fabric, source)) << "source " << source;
+  }
+}
+
+TEST_P(FabricWalk, StopsAtTheFirstAcceptedServer) {
+  const Fabric fabric = make_fabric();
+  for (std::uint32_t source = 0; source < fabric.server_count(); ++source) {
+    const std::vector<std::uint32_t> order = hop_sorted(fabric, source);
+    for (std::size_t stop = 0; stop < order.size(); ++stop) {
+      std::vector<std::uint32_t> visited;
+      const std::uint32_t accepted =
+          fabric.nearest_server(source, [&](std::uint32_t j) {
+            visited.push_back(j);
+            return j == order[stop] || j == order.back();
+          });
+      EXPECT_EQ(accepted, order[stop]);
+      EXPECT_EQ(visited, std::vector<std::uint32_t>(
+                             order.begin(),
+                             order.begin() +
+                                 static_cast<std::ptrdiff_t>(stop) + 1))
+          << "source " << source << " stop " << stop;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FabricWalk,
+    ::testing::Values(std::make_tuple(1u, 1u, 1u),   // one server
+                      std::make_tuple(1u, 4u, 8u),   // one DC
+                      std::make_tuple(3u, 2u, 1u),   // one server per leaf
+                      std::make_tuple(4u, 3u, 5u)));
 
 }  // namespace
 }  // namespace iaas

@@ -89,8 +89,12 @@ TEST(Infrastructure, ShorthandsAndDatacenters) {
   EXPECT_EQ(inst.h(), 3u);
   EXPECT_EQ(inst.infra.datacenter_of(0), 0u);
   EXPECT_EQ(inst.infra.datacenter_of(5), 1u);
-  const auto dc1 = inst.infra.servers_in_datacenter(1);
-  EXPECT_EQ(dc1, (std::vector<std::uint32_t>{3, 4, 5}));
+  const auto dc1 = inst.infra.fabric().servers_in_datacenter(1);
+  EXPECT_EQ(std::vector<std::uint32_t>(dc1.begin(), dc1.end()),
+            (std::vector<std::uint32_t>{3, 4, 5}));
+  for (std::uint32_t j : dc1) {
+    EXPECT_EQ(inst.infra.datacenter_of(j), 1u);
+  }
 }
 
 TEST(Infrastructure, TotalEffectiveCapacity) {

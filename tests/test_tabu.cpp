@@ -2,6 +2,8 @@
 // search.
 #include <gtest/gtest.h>
 
+#include "algo/nsga_allocators.h"
+#include "common/telemetry.h"
 #include "model/constraint_checker.h"
 #include "model/objectives.h"
 #include "tabu/repair.h"
@@ -261,6 +263,62 @@ TEST(TabuRepair, RepairStateAccumulatorsMatchFreshEvaluation) {
               full.objectives.migration_cost, kTol);
   EXPECT_EQ(state.total_violations(), full.violations.total());
 }
+
+#if IAAS_TELEMETRY
+// Counter contract: every move decision (a neighbour search, a group
+// relocation, a same-DC straggler search) counts one try and, when it
+// applies, one accept — so accepted <= tried, while kDeltaMoves counts
+// the individual VM moves (a group relocation moves several).
+TEST(TabuRepair, AcceptedMovesNeverExceedTried) {
+  using telemetry::Counter;
+  telemetry::CounterBlock block;
+  {
+    telemetry::ScopedSink sink(block);
+    // The scattered same-server group: one relocation moves two VMs.
+    const Instance grouped = make_instance(
+        1, 4, {10.0, 10.0, 10.0},
+        {{2.0, 2.0, 2.0}, {2.0, 2.0, 2.0}, {2.0, 2.0, 2.0}},
+        {{RelationKind::kSameServer, {0, 1, 2}}});
+    std::vector<std::int32_t> scattered = {0, 1, 2};
+    Rng group_rng(41);
+    EXPECT_EQ(TabuRepair(grouped).repair(scattered, group_rng), 0u);
+
+    const Instance inst = make_random_instance(3, 16, 48);
+    TabuRepair repair(inst);
+    Rng rng(1003);
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<std::int32_t> genes(inst.n());
+      for (auto& g : genes) {
+        g = static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+      }
+      repair.repair(genes, rng);
+    }
+  }
+  EXPECT_GT(block[Counter::kTabuMovesAccepted], 0u);
+  EXPECT_LE(block[Counter::kTabuMovesAccepted],
+            block[Counter::kTabuMovesTried]);
+  EXPECT_GT(block[Counter::kDeltaMoves], block[Counter::kTabuMovesAccepted]);
+}
+
+TEST(TabuRepair, TraceRowsNeverAcceptMoreThanTried) {
+  EaAllocatorOptions options;
+  options.nsga.population_size = 20;
+  options.nsga.max_evaluations = 400;
+  options.nsga.reference_divisions = 4;
+  options.nsga.collect_trace = true;
+  Nsga3TabuAllocator allocator(options);
+  const AllocationResult result =
+      allocator.allocate(make_random_instance(7, 16, 48), 11);
+  ASSERT_FALSE(result.trace.rows.empty());
+  std::size_t accepted = 0;
+  for (const telemetry::GenerationRow& row : result.trace.rows) {
+    EXPECT_LE(row.tabu_moves_accepted, row.tabu_moves_tried)
+        << "generation " << row.generation;
+    accepted += row.tabu_moves_accepted;
+  }
+  EXPECT_GT(accepted, 0u);
+}
+#endif
 
 TEST(TabuSearch, ImprovesCostAndStaysFeasible) {
   const Instance inst = make_random_instance(21, 8, 24);

@@ -55,6 +55,8 @@ Json tricky_document() {
   doc["numbers"].push_back(Json::number(1e300));  // huge magnitude
   doc["numbers"].push_back(Json::integer(std::uint64_t{1} << 63));
   doc["numbers"].push_back(Json::integer(std::int64_t{-42}));
+  doc["numbers"].push_back(
+      Json::integer(std::int64_t{-9007199254740995}));  // below -(2^53)
   doc["flags"] = Json::array();
   doc["flags"].push_back(Json::boolean(true));
   doc["flags"].push_back(Json::boolean(false));
@@ -85,6 +87,7 @@ void emit_tricky(JsonEmitter& e) {
   e.value(1e300);
   e.value(std::uint64_t{1} << 63);
   e.value(std::int64_t{-42});
+  e.value(std::int64_t{-9007199254740995});
   e.end_array();
   e.key("flags");
   e.begin_array();
@@ -110,47 +113,6 @@ TEST(JsonEmitter, MatchesTreeDumpByteForByte) {
     emit_tricky(e);
     EXPECT_EQ(streamed, doc.dump(indent)) << "indent " << indent;
   }
-}
-
-TEST(JsonEmitter, EmitJsonWalkerMatchesDumpAndKeepsIntegerLexemes) {
-  // Parse a document whose integers exceed 2^53 — a double path would
-  // corrupt them; the walker must re-emit the exact lexemes.
-  const std::string text =
-      R"({"seed": 9223372036854775809, "neg": -9007199254740995,)"
-      R"( "d": 1.5, "rows": [1, 2, 3]})";
-  const Json doc = Json::parse(text);
-  for (int indent : {-1, 2}) {
-    std::string streamed;
-    JsonEmitter e(streamed, indent);
-    emit_json(e, doc);
-    EXPECT_EQ(streamed, doc.dump(indent));
-  }
-  EXPECT_NE(doc.dump().find("9223372036854775809"), std::string::npos);
-}
-
-TEST(JsonEmitter, FlushChunksConcatenateToTheExactDocument) {
-  const Json doc = tricky_document();
-  std::string buffer;
-  JsonEmitter e(buffer, 2);
-  std::string collected;
-  std::size_t chunks = 0;
-  e.set_flush(
-      [&](std::string_view chunk) {
-        collected.append(chunk);
-        ++chunks;
-      },
-      /*threshold=*/16);
-  emit_tricky(e);
-  collected.append(buffer);  // tail below the threshold
-  EXPECT_EQ(collected, doc.dump(2));
-  EXPECT_GT(chunks, 1u);
-  // The buffer high-water mark is bounded by threshold + one token, not
-  // by the document size.
-  EXPECT_LT(e.peak_buffer_bytes(), collected.size());
-  EXPECT_LE(e.peak_buffer_bytes(), std::size_t{16} + 64);
-  // bytes_emitted counts the flushed bytes; the sub-threshold tail is
-  // still sitting in the buffer.
-  EXPECT_EQ(e.bytes_emitted() + buffer.size(), collected.size());
 }
 
 // --- simulation fixtures --------------------------------------------
