@@ -28,6 +28,8 @@ const char* counter_name(Counter c) {
       return "tabu_moves_tried";
     case Counter::kTabuMovesAccepted:
       return "tabu_moves_accepted";
+    case Counter::kTabuCandidatesScanned:
+      return "tabu_candidates_scanned";
     case Counter::kSimFaultEvents:
       return "sim_fault_events";
     case Counter::kSimEvictions:

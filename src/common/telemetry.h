@@ -49,6 +49,7 @@ enum class Counter : std::size_t {
   kUnrepairableIndividuals,  // left with violations after all passes
   kTabuMovesTried,           // candidate relocations examined
   kTabuMovesAccepted,        // relocations actually applied
+  kTabuCandidatesScanned,    // servers offered to the repair's move test
   // Simulator failure/degradation lifecycle (flushed once per window).
   kSimFaultEvents,           // failure/repair/decommission events
   kSimEvictions,             // running VMs forced off the platform

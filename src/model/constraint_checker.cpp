@@ -1,6 +1,7 @@
 #include "model/constraint_checker.h"
 
 #include <algorithm>
+#include <span>
 
 #include "model/placement_state.h"
 
@@ -62,46 +63,60 @@ ViolationReport ConstraintChecker::check(const Placement& placement) const {
   return report;
 }
 
+bool ConstraintChecker::members_compatible(RelationKind kind, std::size_t a,
+                                           std::size_t b) const {
+  const Infrastructure& infra = instance_->infra;
+  switch (kind) {
+    case RelationKind::kSameServer:
+      return a == b;
+    case RelationKind::kSameDatacenter:
+      return infra.datacenter_of(a) == infra.datacenter_of(b);
+    case RelationKind::kDifferentServers:
+      return a != b;
+    case RelationKind::kDifferentDatacenters:
+      return infra.datacenter_of(a) != infra.datacenter_of(b);
+  }
+  return true;
+}
+
 bool ConstraintChecker::relation_satisfied(const PlacementConstraint& c,
                                            const Placement& placement) const {
-  const Instance& inst = *instance_;
-  // Collect the assigned members; groups with < 2 placed members cannot be
-  // violated.
-  std::vector<std::int32_t> servers;
-  servers.reserve(c.vms.size());
-  for (std::uint32_t k : c.vms) {
-    if (placement.is_assigned(k)) {
-      servers.push_back(placement.server_of(k));
+  // Only assigned members count; groups with < 2 placed members cannot be
+  // violated.  The affinity kinds are equivalence relations, so checking
+  // every member against the first placed one decides the group; the
+  // anti-affinity kinds must hold for every placed pair.
+  const std::vector<std::uint32_t>& vms = c.vms;
+  for (std::size_t i = 0; i < vms.size(); ++i) {
+    if (!placement.is_assigned(vms[i])) {
+      continue;
     }
-  }
-  if (servers.size() < 2) {
-    return true;
-  }
-
-  switch (c.kind) {
-    case RelationKind::kSameServer:
-      return std::all_of(servers.begin(), servers.end(),
-                         [&](std::int32_t s) { return s == servers[0]; });
-    case RelationKind::kSameDatacenter: {
-      const std::uint32_t dc0 =
-          inst.infra.datacenter_of(static_cast<std::size_t>(servers[0]));
-      return std::all_of(servers.begin(), servers.end(), [&](std::int32_t s) {
-        return inst.infra.datacenter_of(static_cast<std::size_t>(s)) == dc0;
-      });
-    }
-    case RelationKind::kDifferentServers: {
-      std::vector<std::int32_t> sorted = servers;
-      std::sort(sorted.begin(), sorted.end());
-      return std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end();
-    }
-    case RelationKind::kDifferentDatacenters: {
-      std::vector<std::uint32_t> dcs;
-      dcs.reserve(servers.size());
-      for (std::int32_t s : servers) {
-        dcs.push_back(inst.infra.datacenter_of(static_cast<std::size_t>(s)));
+    const auto a = static_cast<std::size_t>(placement.server_of(vms[i]));
+    for (std::size_t p = i + 1; p < vms.size(); ++p) {
+      if (!placement.is_assigned(vms[p])) {
+        continue;
       }
-      std::sort(dcs.begin(), dcs.end());
-      return std::adjacent_find(dcs.begin(), dcs.end()) == dcs.end();
+      const auto b = static_cast<std::size_t>(placement.server_of(vms[p]));
+      if (!members_compatible(c.kind, a, b)) {
+        return false;
+      }
+    }
+    if (c.is_affinity()) {
+      break;
+    }
+  }
+  return true;
+}
+
+bool ConstraintChecker::peers_allow(const PlacementConstraint& c,
+                                    const Placement& placement, std::size_t k,
+                                    std::size_t j) const {
+  for (std::uint32_t peer : c.vms) {
+    if (peer == k || !placement.is_assigned(peer)) {
+      continue;
+    }
+    const auto b = static_cast<std::size_t>(placement.server_of(peer));
+    if (!members_compatible(c.kind, j, b)) {
+      return false;
     }
   }
   return true;
@@ -128,41 +143,13 @@ bool ConstraintChecker::is_valid_allocation(const Placement& placement,
   }
 
   // Relationship constraints involving k, against already-assigned peers.
-  const std::uint32_t dc_j = inst.infra.datacenter_of(j);
+  // Callers without a StateTables have no VM -> constraint index, so the
+  // groups are found by scanning.
   for (const PlacementConstraint& c : inst.requests.constraints) {
     if (std::find(c.vms.begin(), c.vms.end(),
-                  static_cast<std::uint32_t>(k)) == c.vms.end()) {
-      continue;
-    }
-    for (std::uint32_t peer : c.vms) {
-      if (peer == k || !placement.is_assigned(peer)) {
-        continue;
-      }
-      const auto peer_server =
-          static_cast<std::size_t>(placement.server_of(peer));
-      const std::uint32_t peer_dc = inst.infra.datacenter_of(peer_server);
-      switch (c.kind) {
-        case RelationKind::kSameServer:
-          if (peer_server != j) {
-            return false;
-          }
-          break;
-        case RelationKind::kSameDatacenter:
-          if (peer_dc != dc_j) {
-            return false;
-          }
-          break;
-        case RelationKind::kDifferentServers:
-          if (peer_server == j) {
-            return false;
-          }
-          break;
-        case RelationKind::kDifferentDatacenters:
-          if (peer_dc == dc_j) {
-            return false;
-          }
-          break;
-      }
+                  static_cast<std::uint32_t>(k)) != c.vms.end() &&
+        !peers_allow(c, placement, k, j)) {
+      return false;
     }
   }
   return true;
@@ -170,7 +157,35 @@ bool ConstraintChecker::is_valid_allocation(const Placement& placement,
 
 bool ConstraintChecker::is_valid_move(const PlacementState& state,
                                       std::size_t k, std::size_t j) const {
-  return is_valid_allocation(state.placement(), state.used(), k, j);
+  IAAS_DEBUG_EXPECT(&state.instance() == instance_,
+                    "state built against a different instance");
+  const StateTables& tables = *state.tables();
+  const Placement& placement = state.placement();
+
+  // The same capacity test as is_valid_allocation, on the state's
+  // accumulators and the flattened demand/capacity rows.
+  const bool already_there =
+      placement.is_assigned(k) &&
+      static_cast<std::size_t>(placement.server_of(k)) == j;
+  const std::span<const double> used = state.used().row(j);
+  const std::span<const double> ecap = tables.effective_capacity.row(j);
+  const std::span<const double> demand = tables.demand.row(k);
+  for (std::size_t l = 0; l < demand.size(); ++l) {
+    const double add = already_there ? 0.0 : demand[l];
+    if (used[l] + add > ecap[l] + kCapacityEps) {
+      return false;
+    }
+  }
+
+  // Only the groups that mention k (the CSR adjacency), not every
+  // constraint of the instance.
+  const auto& constraints = instance_->requests.constraints;
+  for (std::uint32_t c : tables.constraints_of(k)) {
+    if (!peers_allow(constraints[c], placement, k, j)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace iaas

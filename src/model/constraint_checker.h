@@ -65,12 +65,14 @@ class ConstraintChecker {
 
   // Delta-aware variant: reads the placement and the used-capacity
   // accumulators maintained incrementally by a PlacementState, so callers
-  // scoring relocation moves never rebuild a `used` matrix.
+  // scoring relocation moves never rebuild a `used` matrix, and visits
+  // only the constraints that mention k (the state's VM -> constraint
+  // adjacency): O(h + sum of their group sizes) per candidate server.
   [[nodiscard]] bool is_valid_move(const PlacementState& state, std::size_t k,
                                    std::size_t j) const;
 
   // True when the relationship constraint `c` holds under `placement`
-  // (among assigned members only).
+  // (among assigned members only).  Allocation-free.
   [[nodiscard]] bool relation_satisfied(const PlacementConstraint& c,
                                         const Placement& placement) const;
 
@@ -79,6 +81,15 @@ class ConstraintChecker {
   void compute_used(const Placement& placement, Matrix<double>& used) const;
 
  private:
+  // The one per-kind rule: may two placed members of a `kind` group sit
+  // on servers a and b?
+  [[nodiscard]] bool members_compatible(RelationKind kind, std::size_t a,
+                                        std::size_t b) const;
+  // True when k on server j is compatible with every placed peer of `c`.
+  [[nodiscard]] bool peers_allow(const PlacementConstraint& c,
+                                 const Placement& placement, std::size_t k,
+                                 std::size_t j) const;
+
   const Instance* instance_;
 };
 

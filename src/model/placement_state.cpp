@@ -1,6 +1,8 @@
 #include "model/placement_state.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "common/telemetry.h"
@@ -19,6 +21,7 @@ StateTables::StateTables(const Instance& instance)
       max_qos(instance.m(), instance.h()),
       server_usage_cost(instance.m(), 0.0),
       server_opex(instance.m(), 0.0),
+      fit_slack(instance.h(), 0.0),
       constraint_offsets(instance.n() + 1, 0) {
   const std::size_t n = instance.n();
   const std::size_t m = instance.m();
@@ -49,6 +52,24 @@ StateTables::StateTables(const Instance& instance)
     }
     server_usage_cost[j] = server.usage_cost;
     server_opex[j] = server.opex;
+  }
+
+  // |used| stays within the fleet's total demand, so the rounding error
+  // of the exact test and of the residual is a few ulp of
+  // (max capacity + total demand); 1e-12 of it is >1000x that
+  // (DESIGN.md §7).
+  for (std::size_t l = 0; l < h; ++l) {
+    double max_capacity = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      max_capacity =
+          std::max(max_capacity, std::abs(effective_capacity(j, l)));
+    }
+    double total_demand = 0.0;
+    for (std::size_t k = 0; k < n; ++k) {
+      total_demand += std::abs(demand(k, l));
+    }
+    fit_slack[l] =
+        kCapacityEps + 1e-12 * (1.0 + max_capacity + total_demand);
   }
 
   // VM -> constraint CSR: count, prefix-sum, fill.
@@ -90,6 +111,9 @@ PlacementState::PlacementState(const Instance& instance,
       server_cost_(2 * instance.m(), 0.0),
       overload_count_(instance.m(), 0),
       relation_ok_(instance.requests.constraints.size(), 1),
+      servers_per_leaf_(instance.infra.fabric().config().servers_per_leaf),
+      leaf_residual_(instance.infra.fabric().leaf_count(), instance.h()),
+      leaf_stale_(instance.infra.fabric().leaf_count(), 1),
       scratch_row_(instance.h(), 0.0),
       server_epoch_(instance.m(), 0),
       constraint_epoch_(instance.requests.constraints.size(), 0) {
@@ -261,6 +285,8 @@ void PlacementState::assign_from(const PlacementState& other) {
   total_downtime_ = other.total_downtime_;
   total_migration_ = other.total_migration_;
   relation_ok_ = other.relation_ok_;
+  leaf_residual_ = other.leaf_residual_;
+  leaf_stale_ = other.leaf_stale_;
   capacity_violations_ = other.capacity_violations_;
   relation_violations_ = other.relation_violations_;
   rejected_count_ = other.rejected_count_;
@@ -371,6 +397,7 @@ void PlacementState::refresh_server(std::size_t j) {
   const std::size_t h = instance_->h();
   const std::span<const double> used = used_.row(j);
   const std::span<const double> ecap = t.effective_capacity.row(j);
+  leaf_stale_[j / servers_per_leaf_] = 1;
 
   if (tracking_ == StateTracking::kViolationsOnly) {
     std::uint32_t overloads = 0;
@@ -412,6 +439,40 @@ void PlacementState::refresh_server(std::size_t j) {
   usage_acc(j) = usage;
   downtime_acc(j) = downtime;
   overload_count_[j] = overloads;
+}
+
+void PlacementState::refresh_leaf(std::size_t g) {
+  const std::span<double> residual = leaf_residual_.row(g);
+  std::fill(residual.begin(), residual.end(),
+            -std::numeric_limits<double>::infinity());
+  for (std::uint32_t j : instance_->infra.fabric().servers_on_global_leaf(
+           static_cast<std::uint32_t>(g))) {
+    const std::span<const double> used = used_.row(j);
+    const std::span<const double> ecap = tables_->effective_capacity.row(j);
+    for (std::size_t l = 0; l < residual.size(); ++l) {
+      residual[l] = std::max(residual[l], ecap[l] - used[l]);
+    }
+  }
+  leaf_stale_[g] = 0;
+}
+
+bool PlacementState::any_leaf_fits(std::size_t k) {
+  const std::span<const double> demand = tables_->demand.row(k);
+  const std::vector<double>& slack = tables_->fit_slack;
+  for (std::size_t g = 0; g < leaf_stale_.size(); ++g) {
+    if (leaf_stale_[g] != 0) {
+      refresh_leaf(g);
+    }
+    const std::span<const double> residual = leaf_residual_.row(g);
+    std::size_t l = 0;
+    while (l < demand.size() && demand[l] <= residual[l] + slack[l]) {
+      ++l;
+    }
+    if (l == demand.size()) {
+      return true;
+    }
+  }
+  return false;
 }
 
 PlacementState::ServerEdit PlacementState::edit_server(

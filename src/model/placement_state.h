@@ -78,6 +78,11 @@ struct StateTables {
   std::vector<double> server_usage_cost;    // m: U_j
   std::vector<double> server_opex;          // m: E_j
 
+  // h: per-attribute slack of the leaf capacity summary's "no server has
+  // room" test — kCapacityEps plus a relative margin far above the
+  // rounding error of the exact per-server test (DESIGN.md §7).
+  std::vector<double> fit_slack;
+
   // CSR adjacency: constraint ids mentioning VM k are
   // constraint_ids[constraint_offsets[k] .. constraint_offsets[k+1]).
   std::vector<std::uint32_t> constraint_offsets;  // n+1
@@ -180,6 +185,11 @@ class PlacementState {
   [[nodiscard]] bool server_overloaded(std::size_t j) const {
     return overload_count_[j] > 0;
   }
+  // Whether relationship constraint c holds (kept current in both
+  // tracking modes).
+  [[nodiscard]] bool relation_ok(std::size_t c) const {
+    return relation_ok_[c] != 0;
+  }
   // Full report in the ConstraintChecker::check format (builds the
   // overloaded-server list, O(m)).
   [[nodiscard]] ViolationReport violation_report() const;
@@ -247,6 +257,15 @@ class PlacementState {
     return server_count_[j];
   }
 
+  // Leaf capacity summary (DESIGN.md §7): false only when, for every
+  // fabric leaf, some attribute of VM k's demand exceeds the largest
+  // residual capacity (effective capacity − used) among the leaf's
+  // servers by more than StateTables::fit_slack.  Then no server passes
+  // the capacity part of ConstraintChecker::is_valid_move for a move of
+  // k, so no server can take it.  Recomputes the leaves stale since the
+  // last call (non-const for that reason), O(leaves·h) at worst.
+  [[nodiscard]] bool any_leaf_fits(std::size_t k);
+
   [[nodiscard]] const Instance& instance() const { return *instance_; }
   [[nodiscard]] const ObjectiveOptions& options() const { return options_; }
   [[nodiscard]] StateTracking tracking() const { return tracking_; }
@@ -263,8 +282,11 @@ class PlacementState {
 
   void rebuild_from_placement();
   // Recomputes loads/qos rows, overload count, usage and downtime terms of
-  // server j from used_ and the membership list, updating the totals.
+  // server j from used_ and the membership list, updating the totals, and
+  // marks j's leaf summary stale.
   void refresh_server(std::size_t j);
+  // Recomputes leaf g's max-residual row.
+  void refresh_leaf(std::size_t g);
   // Commits a move into every accumulator (no undo bookkeeping).
   void do_move(std::size_t k, std::int32_t target);
 
@@ -333,6 +355,14 @@ class PlacementState {
   std::uint32_t capacity_violations_ = 0;
   std::uint32_t relation_violations_ = 0;
   std::size_t rejected_count_ = 0;
+
+  // Leaf capacity summary: per global fabric leaf (server ids are
+  // leaf-major, so leaf g is ids [g·servers_per_leaf_, ...)) and
+  // attribute, the max residual over the leaf's servers; rows of stale
+  // leaves are recomputed by any_leaf_fits.
+  std::uint32_t servers_per_leaf_;
+  Matrix<double> leaf_residual_;
+  std::vector<std::uint8_t> leaf_stale_;
 
   struct Move {
     std::size_t vm = 0;

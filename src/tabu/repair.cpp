@@ -15,21 +15,38 @@ TabuRepair::TabuRepair(const Instance& instance, TabuRepairOptions options,
       options_(options),
       checker_(instance),
       tables_(tables ? std::move(tables)
-                     : std::make_shared<const StateTables>(instance)) {}
+                     : std::make_shared<const StateTables>(instance)) {
+  const auto& constraints = instance.requests.constraints;
+  for (std::size_t c = 0; c < constraints.size(); ++c) {
+    if (constraints[c].kind == RelationKind::kSameServer) {
+      same_server_ids_.push_back(static_cast<std::uint32_t>(c));
+    }
+  }
+}
 
-std::int32_t TabuRepair::find_neighbour(const PlacementState& state,
-                                        std::size_t k,
+std::int32_t TabuRepair::find_neighbour(PlacementState& state, std::size_t k,
                                         const TabuList& tabu) const {
   telemetry::count(telemetry::Counter::kTabuMovesTried);
+  // Capacity is a necessary condition of is_valid_move: when no leaf has
+  // room for k, the walk below would reject every server.
+  if (!state.any_leaf_fits(k)) {
+    return Placement::kRejected;
+  }
   const std::int32_t current = state.placement().server_of(k);
   const auto anchor = static_cast<std::uint32_t>(current >= 0 ? current : 0);
+  std::uint64_t scanned = 0;
+  // A conjunction of side-effect-free tests, so their order cannot change
+  // the server returned; the validity test runs before the tabu lookup
+  // because it rejects far more candidates.
   const std::uint32_t target = instance_->infra.fabric().nearest_server(
       anchor, [&](std::uint32_t j) {
+        ++scanned;
         return static_cast<std::int32_t>(j) != current &&
+               checker_.is_valid_move(state, k, j) &&
                !tabu.is_tabu(static_cast<std::uint32_t>(k),
-                             static_cast<std::int32_t>(j)) &&
-               checker_.is_valid_move(state, k, j);
+                             static_cast<std::int32_t>(j));
       });
+  telemetry::count(telemetry::Counter::kTabuCandidatesScanned, scanned);
   return target == Fabric::kNoServer ? Placement::kRejected
                                      : static_cast<std::int32_t>(target);
 }
@@ -122,13 +139,11 @@ bool TabuRepair::repair_capacity(PlacementState& state, TabuList& tabu,
     // relation and is_valid_move vetoes it) — relocate the whole group
     // to a bigger server instead.
     if (state.server_overloaded(j)) {
-      for (const PlacementConstraint& c : inst.requests.constraints) {
+      for (std::uint32_t id : same_server_ids_) {
         if (!state.server_overloaded(j)) {
           break;
         }
-        if (c.kind != RelationKind::kSameServer) {
-          continue;
-        }
+        const PlacementConstraint& c = inst.requests.constraints[id];
         const bool anchored_here = std::any_of(
             c.vms.begin(), c.vms.end(), [&](std::uint32_t k) {
               return state.placement().is_assigned(k) &&
@@ -157,10 +172,14 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
   const Fabric& fabric = inst.infra.fabric();
   bool moved_any = false;
 
-  for (const PlacementConstraint& c : inst.requests.constraints) {
-    if (checker_.relation_satisfied(c, state.placement())) {
+  const auto& constraints = inst.requests.constraints;
+  for (std::size_t id = 0; id < constraints.size(); ++id) {
+    // The state's flags are current after every apply_move, so this is
+    // relation_satisfied at this point of the sweep, without the re-check.
+    if (state.relation_ok(id)) {
       continue;
     }
+    const PlacementConstraint& c = constraints[id];
     switch (c.kind) {
       case RelationKind::kSameServer: {
         // Relocate the whole group atomically (member-by-member moves can
@@ -211,14 +230,18 @@ bool TabuRepair::repair_relations(PlacementState& state, TabuList& tabu,
           // Every anchor-DC server is 6 hops from `cur`, so the nearest
           // valid one is the first valid id of the anchor DC's range.
           telemetry::count(telemetry::Counter::kTabuMovesTried);
+          std::uint64_t scanned = 0;
           for (std::uint32_t j : fabric.servers_in_datacenter(
                    static_cast<std::uint32_t>(anchor_dc))) {
+            ++scanned;
             if (checker_.is_valid_move(state, k, j)) {
               accept_move(state, k, static_cast<std::int32_t>(j), tabu);
               moved_any = true;
               break;
             }
           }
+          telemetry::count(telemetry::Counter::kTabuCandidatesScanned,
+                           scanned);
         }
         break;
       }

@@ -51,6 +51,8 @@ class TabuRepair {
   // Each move decision (find_neighbour, relocate_group, a same-DC
   // straggler search) counts one kTabuMovesTried and, when it applies,
   // one kTabuMovesAccepted; kDeltaMoves counts the individual VM moves.
+  // kTabuCandidatesScanned counts the servers a find_neighbour walk or a
+  // straggler search offered to the move test (0 for a pruned walk).
   std::uint32_t repair(std::vector<std::int32_t>& genes, Rng& rng) const;
 
   // Same walk on a caller-owned PlacementState already rebuilt to the
@@ -68,8 +70,10 @@ class TabuRepair {
  private:
   // findNeighbour (Fig. 6): the first server, by fabric distance from the
   // current host, where VM k is a valid allocation and the move is not
-  // tabu; returns kRejected-like -1 when none exists.
-  std::int32_t find_neighbour(const PlacementState& state, std::size_t k,
+  // tabu; returns kRejected-like -1 when none exists — without walking
+  // when the state's leaf capacity summary says no server has room.
+  // Non-const state: the summary refreshes its stale leaves.
+  std::int32_t find_neighbour(PlacementState& state, std::size_t k,
                               const class TabuList& tabu) const;
 
   // Move a whole VM group onto `target` if its aggregate demand fits
@@ -93,6 +97,9 @@ class TabuRepair {
   TabuRepairOptions options_;
   ConstraintChecker checker_;
   std::shared_ptr<const StateTables> tables_;
+  // kSameServer constraint ids, ascending: the capacity repair's
+  // deadlock breaker visits only these.
+  std::vector<std::uint32_t> same_server_ids_;
 };
 
 }  // namespace iaas

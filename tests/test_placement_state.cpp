@@ -208,19 +208,185 @@ TEST(PlacementState, CapacityViolationsTrackMoves) {
 }
 
 TEST(ConstraintChecker, IsValidMoveMatchesIsValidAllocation) {
-  const Instance inst = constrained_instance(8);
+  // is_valid_move visits only the constraints that mention k (the CSR
+  // adjacency); is_valid_allocation scans every constraint.  They must
+  // agree after every move, with all four relation kinds present and
+  // VMs 0-3 in two groups each (the generator puts a VM in at most one).
+  Instance inst = constrained_instance(8);
+  auto& constraints = inst.requests.constraints;
+  constraints.push_back({RelationKind::kSameServer, {0, 1}});
+  constraints.push_back({RelationKind::kSameDatacenter, {1, 2, 3}});
+  constraints.push_back({RelationKind::kDifferentServers, {0, 2, 4}});
+  constraints.push_back({RelationKind::kDifferentDatacenters, {3, 5}});
   const ConstraintChecker checker(inst);
-  PlacementState state(inst);
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
   Rng rng(29);
   state.rebuild(random_genes(inst, rng));
 
   Matrix<double> used;
-  checker.compute_used(state.placement(), used);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t k = rng.uniform_index(inst.n());
-    const std::size_t j = rng.uniform_index(inst.m());
-    EXPECT_EQ(checker.is_valid_move(state, k, j),
-              checker.is_valid_allocation(state.placement(), used, k, j));
+  for (int step = 0; step < 60; ++step) {
+    checker.compute_used(state.placement(), used);
+    for (int trial = 0; trial < 40; ++trial) {
+      const std::size_t k = trial < 6 ? static_cast<std::size_t>(trial)
+                                      : rng.uniform_index(inst.n());
+      const std::size_t j = rng.uniform_index(inst.m());
+      EXPECT_EQ(checker.is_valid_move(state, k, j),
+                checker.is_valid_allocation(state.placement(), used, k, j))
+          << "step " << step << " vm " << k << " server " << j;
+    }
+    for (std::size_t c = 0; c < constraints.size(); ++c) {
+      EXPECT_EQ(state.relation_ok(c),
+                checker.relation_satisfied(constraints[c], state.placement()))
+          << "step " << step << " constraint " << c;
+    }
+    if (::testing::Test::HasFailure()) {
+      FAIL() << "divergence at step " << step;
+    }
+    // Half the moves land on a grouped VM, so the groups keep changing.
+    const std::size_t k = rng.bernoulli(0.5) ? rng.uniform_index(6)
+                                             : rng.uniform_index(inst.n());
+    state.apply_move(k, rng.bernoulli(0.1)
+                            ? Placement::kRejected
+                            : static_cast<std::int32_t>(
+                                  rng.uniform_index(inst.m())));
+  }
+}
+
+// True when some server other than k's host passes is_valid_move's
+// capacity test for k (the only part the leaf summary speaks for).
+bool some_server_has_room(const PlacementState& state, std::size_t k) {
+  const Instance& inst = state.instance();
+  for (std::size_t j = 0; j < inst.m(); ++j) {
+    if (state.placement().server_of(k) == static_cast<std::int32_t>(j)) {
+      continue;
+    }
+    bool room = true;
+    for (std::size_t l = 0; l < inst.h(); ++l) {
+      room = room && state.used()(j, l) + inst.requests.vms[k].demand[l] <=
+                         inst.infra.server(j).effective_capacity(l) +
+                             kCapacityEps;
+    }
+    if (room) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(PlacementState, LeafSummaryPrunesExactlyAtTheResidual) {
+  // 2 DCs x 2 leaves x 2 servers of capacity 0.3, each holding a 0.1
+  // filler, so every residual is 0.2 up to rounding (0.1 + 0.2 > 0.3 in
+  // binary).  Unassigned probes ask for the residual plus offsets around
+  // kCapacityEps: whenever a server passes the exact test, the summary
+  // must report a fitting leaf; well past the slack it must not.
+  FabricConfig fc;
+  fc.datacenters = 2;
+  fc.leaves_per_dc = 2;
+  fc.servers_per_leaf = 2;
+  std::vector<Server> servers;
+  for (std::uint32_t j = 0; j < 8; ++j) {
+    servers.push_back(test::make_server(j / 4, {0.3, 0.3, 0.3}));
+  }
+  RequestSet requests;
+  for (int j = 0; j < 8; ++j) {
+    requests.vms.push_back(test::make_vm({0.1, 0.1, 0.1}));
+  }
+  const std::vector<double> offsets = {-1e-9, 0.0,          1e-12,
+                                       5e-10, kCapacityEps, 1.5e-9,
+                                       1e-6,  0.1};
+  for (double offset : offsets) {
+    requests.vms.push_back(test::make_vm({0.2 + offset, 0.05, 0.05}));
+  }
+  const Instance inst(Infrastructure(fc, std::move(servers)),
+                      std::move(requests));
+  const ConstraintChecker checker(inst);
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  std::vector<std::int32_t> genes(inst.n(), Placement::kRejected);
+  for (std::int32_t j = 0; j < 8; ++j) {
+    genes[static_cast<std::size_t>(j)] = j;
+  }
+  state.rebuild(genes);
+
+  for (std::size_t p = 0; p < offsets.size(); ++p) {
+    const std::size_t k = 8 + p;
+    const bool any_valid = some_server_has_room(state, k);
+    for (std::size_t j = 0; j < inst.m(); ++j) {
+      EXPECT_EQ(checker.is_valid_move(state, k, j), any_valid)
+          << "offset " << offsets[p];  // all servers are alike
+    }
+    if (any_valid) {
+      EXPECT_TRUE(state.any_leaf_fits(k)) << "offset " << offsets[p];
+    }
+  }
+  EXPECT_TRUE(some_server_has_room(state, 8 + 1));  // exactly the residual
+  EXPECT_FALSE(state.any_leaf_fits(8 + 6));         // 1e-6 over: pruned
+  EXPECT_FALSE(state.any_leaf_fits(8 + 7));
+
+  // Emptying server 5 makes its leaf fit the 0.3 probe; the summary must
+  // see the move (and its revert) without a rebuild.
+  state.apply_move(5, Placement::kRejected);
+  EXPECT_TRUE(state.any_leaf_fits(8 + 7));
+  EXPECT_TRUE(checker.is_valid_move(state, 8 + 7, 5));
+  EXPECT_FALSE(checker.is_valid_move(state, 8 + 7, 4));
+  state.revert();
+  EXPECT_FALSE(state.any_leaf_fits(8 + 7));
+
+  // assign_from carries the summary (and its stale marks) along.
+  state.apply_move(2, Placement::kRejected);
+  PlacementState copy(inst, {}, StateTracking::kViolationsOnly);
+  copy.assign_from(state);
+  EXPECT_TRUE(copy.any_leaf_fits(8 + 7));
+}
+
+TEST(PlacementState, LeafSummaryNeverHidesAValidMove) {
+  // A saturated fleet (VMs dealt round-robin, 24 per server since
+  // paper-scale servers are large, ~10 % rejected) under random moves:
+  // whenever the summary reports no fitting leaf for a VM, no server
+  // other than its host passes is_valid_move.  The prune must also
+  // actually fire.
+  ScenarioConfig cfg = ScenarioConfig::paper_scale(64, 4);
+  cfg.vms = 1536;
+  cfg.constrained_fraction = 0.5;
+  const Instance inst = ScenarioGenerator(cfg).generate(17);
+  const ConstraintChecker checker(inst);
+  for (const StateTracking tracking :
+       {StateTracking::kViolationsOnly, StateTracking::kFull}) {
+    PlacementState state(inst, {}, tracking);
+    Rng rng(47);
+    std::vector<std::int32_t> genes(inst.n());
+    for (std::size_t k = 0; k < inst.n(); ++k) {
+      genes[k] = rng.bernoulli(0.1) ? Placement::kRejected
+                                    : static_cast<std::int32_t>(k % inst.m());
+    }
+    state.rebuild(genes);
+    std::size_t pruned = 0;  // (vm, step) pairs the summary rejects
+    std::size_t fitting = 0;
+    for (int step = 0; step < 40; ++step) {
+      for (std::size_t k = 0; k < inst.n(); ++k) {
+        if (state.any_leaf_fits(k)) {
+          ++fitting;
+          continue;
+        }
+        ++pruned;
+        EXPECT_FALSE(some_server_has_room(state, k)) << "vm " << k;
+        for (std::size_t j = 0; j < inst.m(); ++j) {
+          if (state.placement().server_of(k) != static_cast<std::int32_t>(j)) {
+            EXPECT_FALSE(checker.is_valid_move(state, k, j))
+                << "vm " << k << " server " << j;
+          }
+        }
+      }
+      if (::testing::Test::HasFailure()) {
+        FAIL() << "summary hid a valid move at step " << step;
+      }
+      const std::size_t k = rng.uniform_index(inst.n());
+      state.apply_move(k, rng.bernoulli(0.5)
+                              ? Placement::kRejected
+                              : static_cast<std::int32_t>(
+                                    rng.uniform_index(inst.m())));
+    }
+    EXPECT_GT(pruned, 0u);
+    EXPECT_GT(fitting, 0u);
   }
 }
 

@@ -264,6 +264,85 @@ TEST(TabuRepair, RepairStateAccumulatorsMatchFreshEvaluation) {
   EXPECT_EQ(state.total_violations(), full.violations.total());
 }
 
+// Golden repair outcomes, frozen from the repair that re-scanned every
+// constraint of the instance for each candidate server and looked up the
+// tabu list before testing the move.  The cheap candidate test (per-VM
+// constraint adjacency, validity before tabu, the leaf capacity summary)
+// must pick the same neighbour at every step, so 25 infeasible
+// individuals per instance repair to the same genes, the same remaining
+// violations and the same tried/accepted move counts.
+struct RepairDigest {
+  std::uint64_t outcome = 0xcbf29ce484222325ULL;  // genes + remaining
+  std::uint64_t moves = 0xcbf29ce484222325ULL;    // tried + accepted
+  std::uint32_t unrepairable = 0;
+};
+
+void fnv_mix(std::uint64_t& h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xffULL;
+    h *= 0x100000001b3ULL;
+  }
+}
+
+RepairDigest repair_digest(const Instance& inst, std::uint64_t seed) {
+  const ConstraintChecker checker(inst);
+  const TabuRepair repair(inst);
+  Rng rng(seed);
+  RepairDigest digest;
+  for (int i = 0; i < 25; ++i) {
+    std::vector<std::int32_t> genes(inst.n());
+    for (auto& g : genes) {
+      g = rng.bernoulli(0.05)
+              ? Placement::kRejected
+              : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
+    }
+    EXPECT_GT(checker.check(Placement(genes)).total(), 0u)
+        << "individual " << i << " is already feasible";
+    telemetry::CounterBlock block;
+    std::uint32_t remaining = 0;
+    {
+      telemetry::ScopedSink sink(block);
+      remaining = repair.repair(genes, rng);
+    }
+    for (std::int32_t g : genes) {
+      fnv_mix(digest.outcome, static_cast<std::uint32_t>(g));
+    }
+    fnv_mix(digest.outcome, remaining);
+    fnv_mix(digest.moves, block[telemetry::Counter::kTabuMovesTried]);
+    fnv_mix(digest.moves, block[telemetry::Counter::kTabuMovesAccepted]);
+    digest.unrepairable += remaining > 0 ? 1u : 0u;
+  }
+  return digest;
+}
+
+void expect_golden(const RepairDigest& digest, std::uint64_t outcome,
+                   std::uint64_t moves) {
+  EXPECT_EQ(digest.outcome, outcome);
+#if IAAS_TELEMETRY
+  EXPECT_EQ(digest.moves, moves);
+#else
+  (void)moves;  // the move counters compile away
+#endif
+}
+
+TEST(TabuRepair, GoldenSaturatedConstrainedFleet) {
+  // scarce64-like: 64 servers in 4 DCs, half the VMs in relationship
+  // groups, 24 VMs per server, so many walks find no server with room.
+  ScenarioConfig cfg = ScenarioConfig::paper_scale(64, 4);
+  cfg.vms = 1536;
+  cfg.constrained_fraction = 0.5;
+  const RepairDigest digest =
+      repair_digest(ScenarioGenerator(cfg).generate(64), 640);
+  EXPECT_GT(digest.unrepairable, 0u);  // the failure path is exercised
+  expect_golden(digest, 0xf83a01e27a097401ULL, 0x59c3dd8f9c63d444ULL);
+}
+
+TEST(TabuRepair, GoldenTwoHundredServers) {
+  const RepairDigest digest =
+      repair_digest(make_random_instance(200, 200, 400), 2000);
+  expect_golden(digest, 0xdc1c422d4421a224ULL, 0xa80be7751c50bdf1ULL);
+}
+
 #if IAAS_TELEMETRY
 // Counter contract: every move decision (a neighbour search, a group
 // relocation, a same-DC straggler search) counts one try and, when it
@@ -298,6 +377,59 @@ TEST(TabuRepair, AcceptedMovesNeverExceedTried) {
   EXPECT_LE(block[Counter::kTabuMovesAccepted],
             block[Counter::kTabuMovesTried]);
   EXPECT_GT(block[Counter::kDeltaMoves], block[Counter::kTabuMovesAccepted]);
+}
+
+TEST(TabuRepair, PrunedWalkScansNoCandidates) {
+  using telemetry::Counter;
+  // One server, overloaded by two VMs that fit nowhere else: the leaf
+  // summary rejects every walk before a candidate is offered.
+  const Instance full = make_instance(
+      1, 1, {10.0, 10.0, 10.0}, {{8.0, 8.0, 8.0}, {8.0, 8.0, 8.0}});
+  telemetry::CounterBlock pruned;
+  {
+    telemetry::ScopedSink sink(pruned);
+    std::vector<std::int32_t> genes = {0, 0};
+    Rng rng(7);
+    EXPECT_GT(TabuRepair(full).repair(genes, rng), 0u);
+  }
+  EXPECT_GT(pruned[Counter::kTabuMovesTried], 0u);
+  EXPECT_EQ(pruned[Counter::kTabuCandidatesScanned], 0u);
+
+  // With a free neighbour the walk offers the host, then the neighbour.
+  const Instance roomy = make_instance(
+      1, 2, {10.0, 10.0, 10.0}, {{8.0, 2.0, 2.0}, {8.0, 2.0, 2.0}});
+  telemetry::CounterBlock walked;
+  {
+    telemetry::ScopedSink sink(walked);
+    std::vector<std::int32_t> genes = {0, 0};
+    Rng rng(1);
+    EXPECT_EQ(TabuRepair(roomy).repair(genes, rng), 0u);
+  }
+  EXPECT_EQ(walked[Counter::kTabuMovesTried], 1u);
+  EXPECT_EQ(walked[Counter::kTabuCandidatesScanned], 2u);
+}
+
+TEST(TabuRepair, CandidatesScannedIndependentOfThreadCount) {
+  // Summed from per-task counter blocks, so the registry total is the
+  // same for any thread count.
+  using telemetry::Counter;
+  const Instance inst = make_random_instance(9, 32, 96);
+  const auto scanned_with = [&](std::size_t threads) {
+    EaAllocatorOptions options;
+    options.nsga.population_size = 20;
+    options.nsga.max_evaluations = 400;
+    options.nsga.reference_divisions = 4;
+    options.nsga.threads = threads;
+    telemetry::Registry::global().reset();
+    Nsga3TabuAllocator(options).allocate(inst, 13);
+    const telemetry::CounterBlock c = telemetry::Registry::global().counters();
+    return std::pair{c[Counter::kTabuCandidatesScanned],
+                     c[Counter::kTabuMovesTried]};
+  };
+  const auto serial = scanned_with(1);
+  const auto parallel = scanned_with(4);
+  EXPECT_GT(serial.first, 0u);
+  EXPECT_EQ(serial, parallel);
 }
 
 TEST(TabuRepair, TraceRowsNeverAcceptMoreThanTried) {
