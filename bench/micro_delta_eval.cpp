@@ -1,11 +1,12 @@
 // Delta-evaluation engine vs full rebuild: the tentpole claim is that
 // scoring one single-VM relocation via PlacementState::try_move beats a
 // full Evaluator::objectives pass by a wide margin (>= 5x on the
-// 64-server / 512-VM reference instance).  Run with
-// --benchmark_filter=512 to see exactly that pair.
+// 64-server / 512-VM reference instance, asserted in CI by
+// bench/check_delta_speedup.py).  Run with
+// --benchmark_filter='BM_(FullObjectivesPerMove|TryMove)/64$' to see
+// exactly that pair.
 #include <benchmark/benchmark.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/rng.h"
@@ -122,32 +123,6 @@ void BM_Rebuild(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_Rebuild)->Arg(64)->Arg(256);
-
-// Gene-diff rebase: repositioning a live state onto a sibling's genes
-// (the offspring pipeline's second-child path).  Ping-pongs between two
-// vectors differing in ~2% of genes, so each iteration pays one
-// small-diff reposition — compare against BM_Rebuild at the same size.
-void BM_RebaseSmallDiff(benchmark::State& state) {
-  const Instance inst = make_instance_for(state.range(0));
-  PlacementState delta_state(inst);
-  const Placement p = random_placement(inst, 1);
-  delta_state.rebuild(p);
-  Rng rng(3);
-  std::vector<std::int32_t> a = p.genes();
-  std::vector<std::int32_t> b = a;
-  const std::size_t flips = std::max<std::size_t>(1, inst.n() / 50);
-  for (std::size_t f = 0; f < flips; ++f) {
-    b[rng.uniform_index(inst.n())] =
-        static_cast<std::int32_t>(rng.uniform_index(inst.m()));
-  }
-  bool to_b = true;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(delta_state.rebase(to_b ? b : a));
-    to_b = !to_b;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_RebaseSmallDiff)->Arg(64)->Arg(256);
 
 }  // namespace
 

@@ -30,7 +30,9 @@ struct ShardRunStats {
   std::size_t shard_count = 0;
   std::size_t pre_rejections = 0;        // rejected by every shard's EA run
   std::size_t rebalance_placements = 0;  // recovered by the global pass
-  std::size_t migrations = 0;            // cross-shard improvement moves
+  // Always 0: the homeward migration pass it counted is gone.  Kept
+  // because the trace formats carry it and the fingerprint hashes it.
+  std::size_t migrations = 0;
   std::size_t max_shard_vms = 0;         // routing imbalance: largest and
   std::size_t min_shard_vms = 0;         // smallest shard slice (VM count)
 };

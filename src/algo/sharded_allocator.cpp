@@ -17,6 +17,9 @@ namespace iaas {
 
 namespace {
 
+// Most VMs one rebalance pass places (each costs a scan of all m servers).
+constexpr std::size_t kMaxRebalancePlacements = 4096;
+
 std::size_t hardware_threads() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -338,17 +341,17 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
 
   if (options_.rebalance && merged.rejected > 0) {
     // Incremental delta engine over the sanitized global placement: the
-    // state starts feasible, and only moves that keep violations_delta
-    // <= 0 are ever committed, so it stays feasible.
+    // state starts feasible, and only moves with violations_delta == 0
+    // are ever committed, so it stays feasible.
     PlacementState state(instance, options_.suite.objectives,
                          StateTracking::kFull);
     state.rebuild(merged.placement);
-    std::vector<std::uint32_t> placed;
+    std::size_t placed = 0;
     for (std::size_t k = 0; k < n; ++k) {
       if (state.placement().is_assigned(k)) {
         continue;
       }
-      if (placed.size() >= options_.max_rebalance_placements) {
+      if (placed >= kMaxRebalancePlacements) {
         break;
       }
       std::int32_t best_server = Placement::kRejected;
@@ -363,51 +366,13 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
       }
       if (best_server != Placement::kRejected) {
         state.apply_move(k, best_server);
-        placed.push_back(static_cast<std::uint32_t>(k));
+        ++placed;
       }
     }
-    // Pull rebalance orphans back into their routed shard when it
-    // strictly improves the aggregate (boundary losers migrating home).
-    std::size_t migrations = 0;
-    for (const std::uint32_t k : placed) {
-      if (migrations >= options_.max_migrations) {
-        break;
-      }
-      const std::int32_t home = shard_of_vm[k];
-      if (home < 0) {
-        continue;  // rebalance-only unit: anywhere is home
-      }
-      const ShardSlice& slice =
-          plan.slice(static_cast<std::uint32_t>(home));
-      const std::int32_t current = state.placement().server_of(k);
-      if (current >= static_cast<std::int32_t>(slice.server_begin) &&
-          current < static_cast<std::int32_t>(slice.server_end)) {
-        continue;
-      }
-      std::int32_t best_server = Placement::kRejected;
-      double best_delta = -options_.migration_min_gain;
-      for (std::uint32_t j = slice.server_begin; j < slice.server_end;
-           ++j) {
-        const ObjectiveDelta d =
-            state.try_move(k, static_cast<std::int32_t>(j));
-        if (d.violations_delta <= 0 && d.aggregate_delta < best_delta) {
-          best_delta = d.aggregate_delta;
-          best_server = static_cast<std::int32_t>(j);
-        }
-      }
-      if (best_server != Placement::kRejected) {
-        state.apply_move(k, best_server);
-        ++migrations;
-      }
-    }
-    merged.shard.rebalance_placements = placed.size();
-    merged.shard.migrations = migrations;
-    if (!placed.empty()) {
+    merged.shard.rebalance_placements = placed;
+    if (placed > 0) {
       telemetry::count(telemetry::Counter::kShardRebalancePlacements,
-                       placed.size());
-    }
-    if (migrations > 0) {
-      telemetry::count(telemetry::Counter::kShardMigrations, migrations);
+                       placed);
     }
     merged.placement = state.placement();
     merged.objectives = state.objectives();

@@ -18,10 +18,9 @@
 //   3. Merge the raw shard placements, audit + sanitize them globally
 //      (Allocator::finalize), then run the cross-shard rebalance on an
 //      incremental PlacementState: place every still-rejected VM on the
-//      globally best server that adds no violation, and pull rebalance
-//      orphans back into their routed shard when it strictly improves
-//      the aggregate.  Only moves with violations_delta <= 0 commit, so
-//      the final placement stays feasible.
+//      globally best server that adds no violation.  Only moves with
+//      violations_delta == 0 commit, so the final placement stays
+//      feasible.
 //
 // Determinism: per-shard seeds are drawn from the call seed in shard
 // order, every backend run is bit-deterministic at any inner thread
@@ -54,14 +53,9 @@ struct ShardedAllocatorOptions {
   // (0 = hardware_concurrency).  Each run gets max(1, threads / shards)
   // inner threads; 1 shard degenerates to the unsharded parallel run.
   std::size_t threads = 0;
-  // Cross-shard rebalance pass (stage 3).  Placements re-admit VMs every
-  // shard rejected; migrations pull cross-shard rebalance orphans home.
+  // Cross-shard rebalance pass (stage 3): re-admits VMs every shard
+  // rejected.
   bool rebalance = true;
-  std::size_t max_rebalance_placements = 4096;
-  std::size_t max_migrations = 256;
-  // A migration must improve the aggregate objective by more than this
-  // (absolute) to be applied.
-  double migration_min_gain = 1e-9;
 };
 
 class ShardedAllocator : public Allocator {

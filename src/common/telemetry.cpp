@@ -16,8 +16,6 @@ const char* counter_name(Counter c) {
       return "state_rebuilds";
     case Counter::kDeltaMoves:
       return "delta_moves";
-    case Counter::kStateRebases:
-      return "state_rebases";
     case Counter::kRepairInvocations:
       return "repair_invocations";
     case Counter::kRepairedIndividuals:
@@ -44,8 +42,6 @@ const char* counter_name(Counter c) {
       return "shard_pre_rejections";
     case Counter::kShardRebalancePlacements:
       return "shard_rebalance_placements";
-    case Counter::kShardMigrations:
-      return "shard_migrations";
     case Counter::kSimAdmissionDeferrals:
       return "sim_admission_deferrals";
     case Counter::kSimAdmissionDrops:

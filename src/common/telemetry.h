@@ -43,7 +43,6 @@ enum class Counter : std::size_t {
   kEvaluations,              // objective evaluations (any path)
   kStateRebuilds,            // full PlacementState rebuilds
   kDeltaMoves,               // incremental apply_move updates
-  kStateRebases,             // gene-diff rebase repositions (not rebuilds)
   kRepairInvocations,        // repair walks entered
   kRepairedIndividuals,      // entered infeasible, left feasible
   kUnrepairableIndividuals,  // left with violations after all passes
@@ -59,7 +58,6 @@ enum class Counter : std::size_t {
   // Sharded allocator (cross-shard rebalance + admission control).
   kShardPreRejections,       // VMs every shard rejected before rebalance
   kShardRebalancePlacements, // rejected VMs the global rebalance placed
-  kShardMigrations,          // cross-shard improvement moves applied
   kSimAdmissionDeferrals,    // arrival units pushed to a later window
   kSimAdmissionDrops,        // arrival units shed at the queue cap
   // Streaming trace I/O (flushed by SimTraceWriter/BinaryTraceWriter at
@@ -230,6 +228,8 @@ struct GenerationRow {
   std::size_t evaluations = 0;
   std::size_t full_rebuilds = 0;
   std::size_t delta_moves = 0;
+  // Always 0: the gene-diff rebase it counted is gone.  Kept so the trace
+  // formats and the golden fixtures stay unchanged.
   std::size_t rebases = 0;
   std::size_t repair_invocations = 0;
   std::size_t repaired = 0;

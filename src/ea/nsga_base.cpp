@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <limits>
-#include <optional>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "common/expect.h"
 #include "common/stopwatch.h"
-#include "ea/archive.h"
 #include "model/placement.h"
 
 namespace iaas {
@@ -154,7 +152,6 @@ void NsgaBase::absorb_stats(telemetry::GenerationRow& row,
   row.repair_invocations += stats.repairs;
   row.full_rebuilds += static_cast<std::size_t>(c[Counter::kStateRebuilds]);
   row.delta_moves += static_cast<std::size_t>(c[Counter::kDeltaMoves]);
-  row.rebases += static_cast<std::size_t>(c[Counter::kStateRebases]);
   row.repaired +=
       static_cast<std::size_t>(c[Counter::kRepairedIndividuals]);
   row.unrepairable +=
@@ -169,26 +166,20 @@ void NsgaBase::absorb_stats(telemetry::GenerationRow& row,
 }
 
 void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
-                               Arena& arena, bool rebase_from_current) {
+                               Arena& arena) {
   const bool tracing = config_.collect_trace;
   const bool do_repair =
       config_.constraint_mode == ConstraintMode::kRepair &&
       config_.repair_offspring;
   if (do_repair && state_repair_) {
-    // Fused path: one rebuild (or, when the arena state already holds a
-    // placement this task produced, a gene-diff rebase) positions the
-    // state at the unrepaired placement; the repair walk keeps every
-    // accumulator current, so the state read-out after it IS the
-    // evaluation of the repaired genes.
+    // Fused path: one rebuild positions the state at the unrepaired
+    // placement; the repair walk keeps every accumulator current, so the
+    // state read-out after it IS the evaluation of the repaired genes.
     PlacementState& state = arena.evaluator().state();
     {
       telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
                                            : nullptr);
-      if (rebase_from_current) {
-        state.rebase(ind.genes);
-      } else {
-        state.rebuild(ind.genes);
-      }
+      state.rebuild(ind.genes);
     }
     {
       telemetry::ScopedTimer timer(tracing ? &stats.seconds_repair
@@ -277,14 +268,7 @@ void NsgaBase::variation_task(const Population& parents, MatingTask& task,
   }
   repair_evaluate(*child_a, rng, task.stats, arena);
   if (child_b != nullptr) {
-    // The arena state now holds the pair's repaired first child — a base
-    // that is a deterministic function of this task alone, so the second
-    // child may reposition it with a gene-diff rebase without breaking
-    // bit-identical results across thread counts.  In converged or
-    // warm-started populations the siblings share most genes and the
-    // rebase touches only a few servers.
-    repair_evaluate(*child_b, rng, task.stats, arena,
-                    /*rebase_from_current=*/true);
+    repair_evaluate(*child_b, rng, task.stats, arena);
   }
 }
 
@@ -296,7 +280,7 @@ void NsgaBase::run_tasks(ThreadPool* pool, std::size_t count,
       fn(0, i);
     }
   } else {
-    pool->parallel_for_slots(0, count, fn, config_.task_grain);
+    pool->parallel_for_slots(0, count, fn);
   }
 }
 
@@ -390,14 +374,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     telemetry::Registry::global().flush_counters(task_counters);
   }
 
-  std::optional<ParetoArchive> archive;
-  if (config_.archive_capacity > 0) {
-    archive.emplace(config_.archive_capacity);
-    for (const Individual& ind : population) {
-      archive->insert(ind);
-    }
-  }
-
   // Rank the initial population so the first tournament has information.
   // environmental_selection moves the survivors out of its input, and the
   // input is discarded right after — no copy needed.
@@ -467,12 +443,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     }
     telemetry::Registry::global().flush_counters(task_counters);
 
-    if (archive) {
-      for (const Individual& ind : offspring) {
-        archive->insert(ind);
-      }
-    }
-
     Population merged;
     merged.reserve(population.size() + offspring.size());
     std::move(population.begin(), population.end(),
@@ -506,9 +476,6 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     result.front.push_back(population[idx]);
   }
   result.population = std::move(population);
-  if (archive) {
-    result.archive = archive->members();
-  }
   arenas_.clear();  // return the leased evaluators to the problem pool
   return result;
 }

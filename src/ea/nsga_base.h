@@ -14,10 +14,10 @@
 // repair, and objective evaluation fused into one task, dispatched in
 // chunks to thread-affine arenas (one evaluator lease + gene scratch per
 // pool slot, held for the whole run).  Because a task touches only its
-// own offspring slots, its own RNG stream, and its slot's arena — and
-// every cross-individual state reuse (the second child's gene-diff
-// rebase) stays within one task — results are bit-identical for a given
-// seed regardless of config.threads or config.task_grain.
+// own offspring slots, its own RNG stream, and its slot's arena, and
+// each offspring's evaluation depends only on its own genes and stream —
+// results are bit-identical for a given seed regardless of
+// config.threads.
 //
 // The ConstraintMode selects how strict constraints are honoured — the
 // four methods the paper enumerates (ignore/exclude/penalty/repair).
@@ -58,8 +58,6 @@ class NsgaBase {
     Population population;          // final population
     std::vector<Individual> front;  // rank-0 members under the engine's
                                     // dominance relation
-    Population archive;             // external Pareto archive (empty when
-                                    // config.archive_capacity == 0)
     std::size_t evaluations = 0;
     std::size_t repair_invocations = 0;
     std::size_t generations = 0;
@@ -155,13 +153,9 @@ class NsgaBase {
   // for it) fused with evaluation.  With a StateRepairFn the repair
   // walk's PlacementState is read out directly as the evaluation;
   // otherwise genes-based repair followed by a normal evaluation on the
-  // arena's evaluator.  `rebase_from_current` lets the fused path
-  // reposition the arena state with a gene-diff rebase instead of a full
-  // rebuild — only valid when the state's current placement is a
-  // deterministic function of this task (the pair's first repaired
-  // child), never across tasks.
+  // arena's evaluator.
   void repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
-                       Arena& arena, bool rebase_from_current = false);
+                       Arena& arena);
 
   void repair_genes(std::vector<std::int32_t>& genes, Rng& rng,
                     TaskStats& stats);
@@ -175,8 +169,7 @@ class NsgaBase {
                            const TaskStats& stats);
 
   // Runs fn(slot, i) for i in 0..count serially (slot 0) or over the
-  // pool (parallel_for_slots with config_.task_grain); `slot` indexes
-  // arenas_.
+  // pool (parallel_for_slots, automatic grain); `slot` indexes arenas_.
   void run_tasks(ThreadPool* pool, std::size_t count,
                  const std::function<void(std::size_t, std::size_t)>& fn);
 

@@ -41,11 +41,6 @@ struct NsgaConfig {
   // (12 divisions on 3 objectives -> C(14,2) = 91 points < pop 100).
   std::size_t reference_divisions = 12;
 
-  // External Pareto archive capacity; 0 disables it.  When enabled, the
-  // engine's Result carries every non-dominated solution seen across the
-  // run, not just the final generation's front.
-  std::size_t archive_capacity = 0;
-
   // Seed the initial population with the previous window's placement
   // (rejected VMs randomised).  Without it the search almost never
   // rediscovers the incumbent and the migration objective cannot hold
@@ -69,12 +64,6 @@ struct NsgaConfig {
   // Parallel objective evaluation: 0 = use the process-shared pool,
   // 1 = strictly serial, otherwise a dedicated pool of that many threads.
   std::size_t threads = 1;
-
-  // Minimum number of mating-pair (and initial-individual) tasks one
-  // thread claims per chunk of the parallel phases (ThreadPool grain).
-  // 0 = automatic (~4 chunks per worker).  Purely a scheduling knob:
-  // results are bit-identical for any value.
-  std::size_t task_grain = 0;
 
   // Soft wall-clock budget for one run (seconds; 0 = unlimited).  Checked
   // at generation boundaries: the engine finishes the generation in

@@ -46,7 +46,6 @@
 #include "lp/simplex.h"
 
 // Evolutionary framework (NSGA-II / NSGA-III).
-#include "ea/archive.h"
 #include "ea/hypervolume.h"
 #include "ea/individual.h"
 #include "ea/nondominated_sort.h"

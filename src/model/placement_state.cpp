@@ -114,9 +114,7 @@ PlacementState::PlacementState(const Instance& instance,
       servers_per_leaf_(instance.infra.fabric().config().servers_per_leaf),
       leaf_residual_(instance.infra.fabric().leaf_count(), instance.h()),
       leaf_stale_(instance.infra.fabric().leaf_count(), 1),
-      scratch_row_(instance.h(), 0.0),
-      server_epoch_(instance.m(), 0),
-      constraint_epoch_(instance.requests.constraints.size(), 0) {
+      scratch_row_(instance.h(), 0.0) {
   if (tracking_ == StateTracking::kFull) {
     loads_ = Matrix<double>(instance.m(), instance.h());
     qos_ = Matrix<double>(instance.m(), instance.h());
@@ -187,83 +185,6 @@ void PlacementState::rebuild_from_placement() {
   undo_.clear();
 }
 
-std::size_t PlacementState::rebase(std::span<const std::int32_t> genes) {
-  IAAS_EXPECT(genes.size() == instance_->n(),
-              "placement size mismatch with instance");
-  const std::size_t n = instance_->n();
-  const std::vector<std::int32_t>& cur = placement_.genes();
-  std::size_t diff = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    diff += cur[k] != genes[k] ? 1u : 0u;
-  }
-  if (diff == 0) {
-    pending_.reset();
-    undo_.clear();
-    return 0;
-  }
-  // Past ~a quarter of the genes the per-diff bookkeeping (list edits,
-  // touched-server refreshes, constraint rechecks) stops beating one
-  // linear rebuild; fall back.
-  if (diff * 4 > n) {
-    rebuild(genes);
-    return diff;
-  }
-  telemetry::count(telemetry::Counter::kStateRebases);
-
-  if (++epoch_ == 0) {  // wrapped: every stale mark must be invalidated
-    std::fill(server_epoch_.begin(), server_epoch_.end(), 0u);
-    std::fill(constraint_epoch_.begin(), constraint_epoch_.end(), 0u);
-    epoch_ = 1;
-  }
-  touched_servers_.clear();
-  touched_constraints_.clear();
-
-  for (std::size_t k = 0; k < n; ++k) {
-    const std::int32_t from = placement_.server_of(k);
-    const std::int32_t to = genes[k];
-    if (from == to) {
-      continue;
-    }
-    if (tracking_ == StateTracking::kFull) {
-      total_migration_ += migration_of(k, to) - migration_of(k, from);
-    }
-    if (from >= 0) {
-      detach_vm(k, static_cast<std::size_t>(from));
-      touch_server(static_cast<std::uint32_t>(from));
-    } else {
-      --rejected_count_;
-    }
-    placement_.assign(k, to);
-    if (to >= 0) {
-      attach_vm(k, static_cast<std::size_t>(to));
-      touch_server(static_cast<std::uint32_t>(to));
-    } else {
-      ++rejected_count_;
-    }
-    for (std::uint32_t c : tables_->constraints_of(k)) {
-      touch_constraint(c);
-    }
-  }
-
-  for (std::uint32_t j : touched_servers_) {
-    refresh_server(j);
-  }
-  const auto& constraints = instance_->requests.constraints;
-  for (std::uint32_t c : touched_constraints_) {
-    const bool ok = checker_.relation_satisfied(constraints[c], placement_);
-    if (ok && relation_ok_[c] == 0) {
-      --relation_violations_;
-    } else if (!ok && relation_ok_[c] != 0) {
-      ++relation_violations_;
-    }
-    relation_ok_[c] = ok ? 1 : 0;
-  }
-
-  pending_.reset();
-  undo_.clear();
-  return diff;
-}
-
 void PlacementState::assign_from(const PlacementState& other) {
   IAAS_EXPECT(instance_ == other.instance_,
               "assign_from across different instances");
@@ -330,20 +251,6 @@ void PlacementState::attach_vm(std::size_t k, std::size_t j) {
   const std::span<double> used = used_.row(j);
   for (std::size_t l = 0; l < demand.size(); ++l) {
     used[l] += demand[l];
-  }
-}
-
-void PlacementState::touch_server(std::uint32_t j) {
-  if (server_epoch_[j] != epoch_) {
-    server_epoch_[j] = epoch_;
-    touched_servers_.push_back(j);
-  }
-}
-
-void PlacementState::touch_constraint(std::uint32_t c) {
-  if (constraint_epoch_[c] != epoch_) {
-    constraint_epoch_[c] = epoch_;
-    touched_constraints_.push_back(c);
   }
 }
 

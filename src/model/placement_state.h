@@ -5,7 +5,7 @@
 // per-server allocated demand, normalised loads and QoS, per-server usage
 // and downtime cost terms, the per-server VM membership lists, the
 // per-constraint satisfied flags, and the three objective totals.
-// Invariants (see DESIGN.md §7): after construction, rebuild(), rebase(),
+// Invariants (see DESIGN.md §7): after construction, rebuild(),
 // assign_from(), or any apply/revert, all accumulators equal what a
 // from-scratch Evaluator::evaluate of the same placement would produce.
 //
@@ -36,10 +36,8 @@
 // positioned at an offspring's genes, and the NSGA engine reads the
 // objectives and violation counts straight out of the accumulators
 // afterwards — the repair's own bookkeeping IS the evaluation, no
-// post-repair rebuild.  rebase() extends this: an offspring task
-// repositions its thread-affine state with a gene-diff (touching only the
-// servers and constraints the diff affects) instead of paying a full
-// rebuild per individual.
+// post-repair rebuild.  Each offspring's state is positioned by one
+// rebuild() from its own genes.
 #pragma once
 
 #include <cstdint>
@@ -126,19 +124,11 @@ class PlacementState {
                           StateTracking tracking = StateTracking::kFull,
                           std::shared_ptr<const StateTables> tables = nullptr);
 
-  // Full O(n + m·h + constraints) rebuild — the non-incremental
-  // repositioning path; every other member keeps the accumulators in
-  // sync.
+  // Full O(n + m·h + constraints) rebuild — the repositioning path;
+  // every other member keeps the accumulators in sync.  Clears the
+  // pending/undo history.
   void rebuild(std::span<const std::int32_t> genes);
   void rebuild(const Placement& placement);
-
-  // Gene-diff repositioning: moves the state to `genes` by editing only
-  // the servers and constraints the diff touches —
-  // O(diff·h + |affected servers|·(h + members) + |affected constraints|)
-  // instead of a full rebuild.  Falls back to rebuild() internally when
-  // the diff is too large to pay off.  Like rebuild(), clears the
-  // pending/undo history.  Returns the number of differing genes.
-  std::size_t rebase(std::span<const std::int32_t> genes);
 
   // Becomes a copy of `other` (same instance, options, and tracking mode)
   // without rebuilding: a handful of flat vector assignments, no
@@ -155,7 +145,7 @@ class PlacementState {
   // Commits an arbitrary move directly (try_move is not required first).
   void apply_move(std::size_t k, std::int32_t target);
   // Undoes applied moves in LIFO order (any depth, back to the last
-  // rebuild/rebase).
+  // rebuild).
   void revert();
   [[nodiscard]] std::size_t applied_moves() const { return undo_.size(); }
 
@@ -295,10 +285,6 @@ class PlacementState {
   void detach_vm(std::size_t k, std::size_t j);
   void attach_vm(std::size_t k, std::size_t j);
 
-  // Epoch-deduplicated scratch marks for rebase().
-  void touch_server(std::uint32_t j);
-  void touch_constraint(std::uint32_t c);
-
   // Hypothetical per-server terms after VM k joins/leaves server j; the
   // used row with k's demand applied with `sign` is read from `row`.
   [[nodiscard]] ServerEdit edit_server(std::size_t j, std::size_t k,
@@ -372,14 +358,6 @@ class PlacementState {
   std::vector<Move> undo_;  // target = the server to move back to
 
   std::vector<double> scratch_row_;  // h-sized hypothetical used row
-
-  // rebase() scratch: epoch-stamped dedup marks + touched lists, reused
-  // across calls (no allocation once warmed).
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> server_epoch_;      // m
-  std::vector<std::uint32_t> constraint_epoch_;  // #constraints
-  std::vector<std::uint32_t> touched_servers_;
-  std::vector<std::uint32_t> touched_constraints_;
 };
 
 }  // namespace iaas

@@ -5,7 +5,6 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "ea/archive.h"
 #include "model/infrastructure.h"
 #include "tests/test_util.h"
 #include "topology/fabric.h"
@@ -71,10 +70,6 @@ TEST(ContractsDeathTest, PercentileRejectsEmptyRange) {
 TEST(ContractsDeathTest, PercentileRejectsBadQuantile) {
   const std::vector<double> v = {1.0};
   EXPECT_DEATH((void)percentile(v, 1.5), "0,1");
-}
-
-TEST(ContractsDeathTest, ArchiveRejectsZeroCapacity) {
-  EXPECT_DEATH({ ParetoArchive archive(0); }, "positive");
 }
 
 }  // namespace

@@ -214,33 +214,70 @@ TEST(NsgaBase, ThreadCountInvariantInAllConstraintModes) {
     Nsga3 a(problem, serial, repair_fn, state_fn);
     const auto ra = a.run(91);
 
-    // The batch granularity is a pure scheduling knob: any thread count
-    // crossed with any task_grain must reproduce the serial run exactly.
-    for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{7}, std::size_t{64}}) {
-      NsgaConfig parallel = serial;
-      parallel.threads = 8;
-      parallel.task_grain = grain;
+    NsgaConfig parallel = serial;
+    parallel.threads = 8;
 
-      Nsga3 b(problem, parallel, repair_fn, state_fn);
-      const auto rb = b.run(91);
+    Nsga3 b(problem, parallel, repair_fn, state_fn);
+    const auto rb = b.run(91);
 
-      EXPECT_EQ(ra.evaluations, rb.evaluations);
-      EXPECT_EQ(ra.repair_invocations, rb.repair_invocations);
-      EXPECT_EQ(ra.generations, rb.generations);
-      ASSERT_EQ(ra.front.size(), rb.front.size());
-      for (std::size_t i = 0; i < ra.front.size(); ++i) {
-        EXPECT_EQ(ra.front[i].genes, rb.front[i].genes);
-        EXPECT_EQ(ra.front[i].objectives, rb.front[i].objectives);
-        EXPECT_EQ(ra.front[i].violations, rb.front[i].violations);
-      }
-      ASSERT_EQ(ra.population.size(), rb.population.size());
-      for (std::size_t i = 0; i < ra.population.size(); ++i) {
-        EXPECT_EQ(ra.population[i].genes, rb.population[i].genes);
-        EXPECT_EQ(ra.population[i].objectives, rb.population[i].objectives);
-      }
+    EXPECT_EQ(ra.evaluations, rb.evaluations);
+    EXPECT_EQ(ra.repair_invocations, rb.repair_invocations);
+    EXPECT_EQ(ra.generations, rb.generations);
+    ASSERT_EQ(ra.front.size(), rb.front.size());
+    for (std::size_t i = 0; i < ra.front.size(); ++i) {
+      EXPECT_EQ(ra.front[i].genes, rb.front[i].genes);
+      EXPECT_EQ(ra.front[i].objectives, rb.front[i].objectives);
+      EXPECT_EQ(ra.front[i].violations, rb.front[i].violations);
+    }
+    ASSERT_EQ(ra.population.size(), rb.population.size());
+    for (std::size_t i = 0; i < ra.population.size(); ++i) {
+      EXPECT_EQ(ra.population[i].genes, rb.population[i].genes);
+      EXPECT_EQ(ra.population[i].objectives, rb.population[i].objectives);
     }
   }
+}
+
+// Every repaired individual is positioned by exactly one full rebuild of
+// its own genes, never by editing a sibling's state.  A warm start from
+// the previous run's front with a low mutation rate makes the two
+// children of a pair share most genes — the case a gene-diff shortcut
+// would take — so the tallies must still match one for one.
+TEST(NsgaBase, FusedRepairRebuildsEveryIndividual) {
+#if !IAAS_TELEMETRY
+  GTEST_SKIP() << "the rebuild column is only counted with telemetry on";
+#else
+  const Instance inst = test::make_random_instance(33, 8, 64);
+  const AllocationProblem problem(inst);
+  TabuRepair repair(inst);
+  const RepairFn repair_fn = [&repair](std::vector<std::int32_t>& genes,
+                                       Rng& rng) {
+    repair.repair(genes, rng);
+  };
+  const StateRepairFn state_fn = [&repair](PlacementState& state, Rng& rng) {
+    repair.repair_state(state, rng);
+  };
+
+  NsgaConfig cold = quick_config();
+  cold.constraint_mode = ConstraintMode::kRepair;
+  cold.pm_rate = 0.02;
+  Nsga3 first(problem, cold, repair_fn, state_fn);
+  const auto front = first.run(5).front;
+
+  NsgaConfig warm = cold;
+  warm.collect_trace = true;
+  for (const Individual& ind : front) {
+    warm.seed_genes.push_back(ind.genes);
+  }
+  Nsga3 second(problem, warm, repair_fn, state_fn);
+  const auto result = second.run(6);
+
+  using telemetry::GenerationRow;
+  const std::size_t repairs =
+      result.trace.total(&GenerationRow::repair_invocations);
+  EXPECT_GT(repairs, 0u);
+  EXPECT_EQ(result.trace.total(&GenerationRow::full_rebuilds), repairs);
+  EXPECT_EQ(result.trace.total(&GenerationRow::rebases), 0u);
+#endif
 }
 
 TEST(NsgaBase, TraceCountersDeterministicAcrossThreadCounts) {

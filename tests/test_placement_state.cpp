@@ -499,79 +499,6 @@ TEST(PlacementState, AssignFromClonesAndDecouples) {
   expect_matches_full(copy, evaluator);
 }
 
-// Rebase property: after any mix of moves, a gene-diff rebase must leave
-// the state indistinguishable from a from-scratch rebuild of the target
-// genes — across small diffs (delta path), large diffs (threshold
-// fallback to rebuild), and the zero-diff fast path.
-class RebaseProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(RebaseProperty, RebaseAgreesWithFullEvaluation) {
-  const Instance inst = constrained_instance(GetParam() + 20);
-  const auto tables = std::make_shared<const StateTables>(inst);
-  PlacementState state(inst, {}, StateTracking::kFull, tables);
-  PlacementState lean(inst, {}, StateTracking::kViolationsOnly, tables);
-  Evaluator evaluator(inst, {}, tables);
-  Rng rng(GetParam() * 104729 + 3);
-
-  std::vector<std::int32_t> genes = random_genes(inst, rng);
-  state.rebuild(genes);
-  lean.rebuild(genes);
-
-  for (int round = 0; round < 30; ++round) {
-    // Drift the live states with interleaved applies and reverts so the
-    // rebase starts from a placement with history, not a fresh rebuild.
-    for (int step = 0; step < 20; ++step) {
-      if (state.applied_moves() > 0 && rng.bernoulli(0.3)) {
-        state.revert();
-        lean.revert();
-      } else {
-        const std::size_t k = rng.uniform_index(inst.n());
-        const std::int32_t target =
-            rng.bernoulli(0.1)
-                ? Placement::kRejected
-                : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
-        state.apply_move(k, target);
-        lean.apply_move(k, target);
-      }
-    }
-
-    // Perturbation size sweeps the spectrum: the small end exercises the
-    // touched-server delta path, the large end the rebuild fallback.
-    genes = state.placement().genes();
-    const std::size_t flips =
-        round % 3 == 2 ? inst.n() : 1 + rng.uniform_index(inst.n() / 4);
-    for (std::size_t f = 0; f < flips; ++f) {
-      const std::size_t k = rng.uniform_index(inst.n());
-      genes[k] = rng.bernoulli(0.1)
-                     ? Placement::kRejected
-                     : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
-    }
-
-    const std::size_t diff_full = state.rebase(genes);
-    const std::size_t diff_lean = lean.rebase(genes);
-    EXPECT_EQ(diff_full, diff_lean);
-    EXPECT_LE(diff_full, flips);
-    EXPECT_EQ(state.placement().genes(), genes);
-    EXPECT_EQ(lean.placement(), state.placement());
-    EXPECT_EQ(state.applied_moves(), 0u);  // rebase clears the undo log
-    expect_matches_full(state, evaluator);
-    EXPECT_EQ(lean.capacity_violations(), state.capacity_violations());
-    EXPECT_EQ(lean.relation_violations(), state.relation_violations());
-    EXPECT_EQ(lean.rejected_count(), state.rejected_count());
-    if (::testing::Test::HasFailure()) {
-      FAIL() << "divergence at round " << round;
-    }
-  }
-
-  // Zero-diff rebase is a no-op that reports zero changes.
-  const double aggregate_before = state.aggregate();
-  EXPECT_EQ(state.rebase(state.placement().genes()), 0u);
-  EXPECT_DOUBLE_EQ(state.aggregate(), aggregate_before);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, RebaseProperty,
-                         ::testing::Values(1u, 2u, 3u, 4u));
-
 // The headline property: hundreds of interleaved applies and reverts,
 // cross-checked against a full rebuild at every step.
 class PlacementStateProperty : public ::testing::TestWithParam<std::uint64_t> {

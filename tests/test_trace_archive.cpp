@@ -1,11 +1,9 @@
-// Arrival traces (diurnal + bursts), the external Pareto archive, and
-// the simulator-trace JSON round trip.
+// Arrival traces (diurnal + bursts) and the simulator-trace JSON round
+// trip.
 #include <gtest/gtest.h>
 
 #include "algo/nsga_allocators.h"
 #include "algo/round_robin.h"
-#include "ea/archive.h"
-#include "ea/nsga3.h"
 #include "io/trace_json.h"
 #include "io/trace_stream.h"
 #include "sim/simulator.h"
@@ -194,113 +192,6 @@ TEST(SimTraceJson, ShapeErrorsThrow) {
   Json empty = Json::object();
   empty["windows"] = Json::array();
   EXPECT_TRUE(sim_trace_from_json(empty).empty());
-}
-
-Individual ind(double a, double b, double c, std::uint32_t violations = 0) {
-  Individual i;
-  i.objectives = {a, b, c};
-  i.violations = violations;
-  return i;
-}
-
-TEST(ParetoArchive, KeepsNondominated) {
-  ParetoArchive archive(10);
-  EXPECT_TRUE(archive.insert(ind(1, 2, 3)));
-  EXPECT_TRUE(archive.insert(ind(3, 2, 1)));
-  EXPECT_EQ(archive.size(), 2u);
-}
-
-TEST(ParetoArchive, RejectsDominatedAndDuplicates) {
-  ParetoArchive archive(10);
-  EXPECT_TRUE(archive.insert(ind(1, 1, 1)));
-  EXPECT_FALSE(archive.insert(ind(2, 2, 2)));  // dominated
-  EXPECT_FALSE(archive.insert(ind(1, 1, 1)));  // duplicate
-  EXPECT_EQ(archive.size(), 1u);
-}
-
-TEST(ParetoArchive, EntrantEvictsDominatedMembers) {
-  ParetoArchive archive(10);
-  archive.insert(ind(5, 5, 5));
-  archive.insert(ind(6, 4, 5));
-  EXPECT_TRUE(archive.insert(ind(1, 1, 1)));  // dominates both
-  EXPECT_EQ(archive.size(), 1u);
-  EXPECT_EQ(archive.members()[0].objectives, (ObjArray{1, 1, 1}));
-}
-
-TEST(ParetoArchive, FeasibleBeatsInfeasible) {
-  ParetoArchive archive(10);
-  archive.insert(ind(1, 1, 1, /*violations=*/3));
-  EXPECT_TRUE(archive.insert(ind(9, 9, 9, 0)));
-  // The feasible entrant constrained-dominates the infeasible member.
-  EXPECT_EQ(archive.size(), 1u);
-  EXPECT_EQ(archive.members()[0].violations, 0u);
-}
-
-TEST(ParetoArchive, CapacityEvictsMostCrowded) {
-  ParetoArchive archive(3);
-  // Four mutually non-dominated points on a line; the inner ones are the
-  // crowded candidates for eviction.
-  archive.insert(ind(0, 10, 5));
-  archive.insert(ind(10, 0, 5));
-  archive.insert(ind(4, 6, 5));
-  EXPECT_TRUE(archive.insert(ind(5, 5, 5)));
-  EXPECT_EQ(archive.size(), 3u);
-  // The boundary points must survive (infinite crowding).
-  bool has_low = false;
-  bool has_high = false;
-  for (const Individual& m : archive.members()) {
-    has_low = has_low || m.objectives[0] == 0.0;
-    has_high = has_high || m.objectives[0] == 10.0;
-  }
-  EXPECT_TRUE(has_low);
-  EXPECT_TRUE(has_high);
-}
-
-TEST(ParetoArchive, EngineIntegration) {
-  const Instance inst = test::make_random_instance(17, 8, 16);
-  const AllocationProblem problem(inst);
-  NsgaConfig cfg;
-  cfg.population_size = 16;
-  cfg.max_evaluations = 320;
-  cfg.reference_divisions = 4;
-  cfg.archive_capacity = 50;
-  Nsga3 engine(problem, cfg);
-  const auto result = engine.run(1);
-  EXPECT_FALSE(result.archive.empty());
-  EXPECT_LE(result.archive.size(), 50u);
-  // Archive members are mutually non-dominated.
-  for (const Individual& a : result.archive) {
-    for (const Individual& b : result.archive) {
-      if (&a != &b) {
-        EXPECT_FALSE(constrained_dominates(a, b) &&
-                     constrained_dominates(b, a));
-      }
-    }
-  }
-  // Per-axis elitism: the archive's minimum on every objective is at
-  // least as good as the final front's (axis-boundary members carry
-  // infinite crowding, so capacity eviction can never remove them).
-  auto axis_min = [](const Population& pop, std::size_t axis) {
-    double v = std::numeric_limits<double>::infinity();
-    for (const Individual& i : pop) {
-      v = std::min(v, i.objectives[axis]);
-    }
-    return v;
-  };
-  // The archive is feasibility-first, so compare against the feasible
-  // subset of the final front only.
-  Population feasible_front;
-  for (const Individual& i : result.front) {
-    if (i.violations == 0) {
-      feasible_front.push_back(i);
-    }
-  }
-  if (!feasible_front.empty()) {
-    for (std::size_t axis = 0; axis < 3; ++axis) {
-      EXPECT_LE(axis_min(result.archive, axis),
-                axis_min(feasible_front, axis) + 1e-9);
-    }
-  }
 }
 
 }  // namespace
