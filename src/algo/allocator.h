@@ -28,7 +28,10 @@ namespace iaas {
 // cross-shard rebalance pass, and what the rebalance recovered.
 struct ShardRunStats {
   std::size_t shard_count = 0;
-  std::size_t pre_rejections = 0;        // rejected by every shard's EA run
+  // Unplaced after the merge: VMs a shard's EA rejected plus members of
+  // units never offered to a shard (different-DC units when the plan
+  // has no multi-DC shard).
+  std::size_t pre_rejections = 0;
   std::size_t rebalance_placements = 0;  // recovered by the global pass
   // Always 0: the homeward migration pass it counted is gone.  Kept
   // because the trace formats carry it and the fingerprint hashes it.

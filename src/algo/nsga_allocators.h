@@ -16,7 +16,6 @@
 #include "algo/cp_repair.h"
 #include "ea/nsga_config.h"
 #include "tabu/repair.h"
-#include "tabu/tabu_search.h"
 
 namespace iaas {
 
@@ -25,10 +24,6 @@ struct EaAllocatorOptions {
   ObjectiveOptions objectives;
   TabuRepairOptions tabu_repair;   // hybrid variant
   CpRepairOptions cp_repair;       // constraint-solver variant
-  // Extension: polish the selected solution with the standalone tabu
-  // search after the EA finishes (off by default — not in the paper).
-  bool post_tabu_search = false;
-  TabuSearchOptions post_search;
 };
 
 // Shared state/plumbing of the EA family: the options block, the anytime

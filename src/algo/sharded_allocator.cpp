@@ -339,7 +339,7 @@ AllocationResult ShardedAllocator::allocate(const Instance& instance,
                      merged.shard.pre_rejections);
   }
 
-  if (options_.rebalance && merged.rejected > 0) {
+  if (merged.rejected > 0) {
     // Incremental delta engine over the sanitized global placement: the
     // state starts feasible, and only moves with violations_delta == 0
     // are ever committed, so it stays feasible.

@@ -53,9 +53,6 @@ struct ShardedAllocatorOptions {
   // (0 = hardware_concurrency).  Each run gets max(1, threads / shards)
   // inner threads; 1 shard degenerates to the unsharded parallel run.
   std::size_t threads = 0;
-  // Cross-shard rebalance pass (stage 3): re-admits VMs every shard
-  // rejected.
-  bool rebalance = true;
 };
 
 class ShardedAllocator : public Allocator {

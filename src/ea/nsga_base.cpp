@@ -14,6 +14,9 @@
 namespace iaas {
 namespace {
 
+// kPenalty: added to every objective per violation.
+constexpr double kPenaltyWeight = 1000.0;
+
 // Front size + best (min-aggregate) objective vector of the survivors;
 // called right after environmental_selection stamps ranks.
 void stamp_population_summary(const Population& population,
@@ -87,15 +90,14 @@ DominanceFn NsgaBase::dominance() const {
         return dominates(a, b);
       };
     case ConstraintMode::kPenalty: {
-      const double w = config_.penalty_weight;
-      return [w](const Individual& a, const Individual& b) {
+      return [](const Individual& a, const Individual& b) {
         // Penalise stack copies of the objective arrays only — the gene
         // vectors play no role in dominance.
         std::array<double, ObjectiveVector::kCount> pa = a.objectives;
         std::array<double, ObjectiveVector::kCount> pb = b.objectives;
         for (std::size_t i = 0; i < pa.size(); ++i) {
-          pa[i] += w * a.violations;
-          pb[i] += w * b.violations;
+          pa[i] += kPenaltyWeight * a.violations;
+          pb[i] += kPenaltyWeight * b.violations;
         }
         return dominates(std::span<const double>(pa),
                          std::span<const double>(pb));
@@ -171,49 +173,29 @@ void NsgaBase::repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
   const bool do_repair =
       config_.constraint_mode == ConstraintMode::kRepair &&
       config_.repair_offspring;
+  if (do_repair && !state_repair_) {
+    telemetry::ScopedTimer timer(tracing ? &stats.seconds_repair : nullptr);
+    repair_genes(ind.genes, rng, stats);
+  }
+  PlacementState& state = arena.state;
+  {
+    telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
+                                         : nullptr);
+    state.rebuild(ind.genes);
+  }
   if (do_repair && state_repair_) {
-    // Fused path: one rebuild positions the state at the unrepaired
-    // placement; the repair walk keeps every accumulator current, so the
-    // state read-out after it IS the evaluation of the repaired genes.
-    PlacementState& state = arena.evaluator().state();
-    {
-      telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
-                                           : nullptr);
-      state.rebuild(ind.genes);
-    }
-    {
-      telemetry::ScopedTimer timer(tracing ? &stats.seconds_repair
-                                           : nullptr);
-      state_repair_(state, rng);
-    }
+    // Fused path: the repair walk keeps every accumulator current, so
+    // the read-out below IS the evaluation of the repaired genes.
+    telemetry::ScopedTimer timer(tracing ? &stats.seconds_repair : nullptr);
+    state_repair_(state, rng);
     ++stats.repairs;
     if (state.applied_moves() > 0) {
       ind.genes = state.placement().genes();
     }
-    ind.objectives = state.objectives().as_array();
-    ind.violations = state.total_violations();
-    ind.evaluated = true;
-    // The fused path bypasses AllocationProblem::evaluate (which counts
-    // its own calls), so the evaluation is counted here.
-    telemetry::count(telemetry::Counter::kEvaluations);
-  } else {
-    if (do_repair) {
-      telemetry::ScopedTimer timer(tracing ? &stats.seconds_repair
-                                           : nullptr);
-      repair_genes(ind.genes, rng, stats);
-    }
-    telemetry::ScopedTimer timer(tracing ? &stats.seconds_evaluate
-                                         : nullptr);
-    // Same contract as AllocationProblem::evaluate, on the arena's
-    // evaluator — no per-call lease round-trip through the pool mutex.
-    IAAS_EXPECT(ind.genes.size() == problem_->gene_count(),
-                "individual gene count mismatch");
-    telemetry::count(telemetry::Counter::kEvaluations);
-    const Evaluation eval = arena.evaluator().evaluate_genes(ind.genes);
-    ind.objectives = eval.objectives.as_array();
-    ind.violations = eval.violations.total();
-    ind.evaluated = true;
   }
+  ind.objectives = state.objectives().as_array();
+  ind.violations = state.total_violations();
+  telemetry::count(telemetry::Counter::kEvaluations);
   ++stats.evaluations;
 }
 
@@ -289,15 +271,15 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
   ThreadPool* pool = evaluation_pool();
   Stopwatch budget_timer;
 
-  // Thread-affine arenas: one evaluator lease (plus gene scratch) per
+  // Thread-affine arenas: one evaluation state (plus gene scratch) per
   // pool slot, held for the whole run.  Every parallel phase below hands
   // each participating thread a stable slot (parallel_for_slots), so a
-  // task reaches its scratch without locks and the evaluator free-list
-  // is visited twice per run instead of twice per offspring.
+  // task reaches its scratch without locks.
   const std::size_t slot_count = pool != nullptr ? pool->size() : 1;
-  arenas_ = std::vector<Arena>(slot_count);
-  for (Arena& arena : arenas_) {
-    arena.lease.emplace(*problem_);
+  arenas_.clear();
+  arenas_.reserve(slot_count);
+  for (std::size_t slot = 0; slot < slot_count; ++slot) {
+    arenas_.emplace_back(*problem_);
   }
 
   Result result;
@@ -476,7 +458,7 @@ NsgaBase::Result NsgaBase::run(std::uint64_t seed) {
     result.front.push_back(population[idx]);
   }
   result.population = std::move(population);
-  arenas_.clear();  // return the leased evaluators to the problem pool
+  arenas_.clear();
   return result;
 }
 

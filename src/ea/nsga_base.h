@@ -12,7 +12,7 @@
 // pair a counter-derived child stream.  The parallel phase then fans each
 // pair out over the thread pool: crossover, mutation, parent/offspring
 // repair, and objective evaluation fused into one task, dispatched in
-// chunks to thread-affine arenas (one evaluator lease + gene scratch per
+// chunks to thread-affine arenas (one evaluation state + gene scratch per
 // pool slot, held for the whole run).  Because a task touches only its
 // own offspring slots, its own RNG stream, and its slot's arena, and
 // each offspring's evaluation depends only on its own genes and stream —
@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/rng.h"
@@ -129,17 +128,20 @@ class NsgaBase {
     TaskStats stats;
   };
 
-  // Thread-affine scratch: one per ThreadPool slot, acquired for the
-  // whole run (DESIGN.md §8).  The long-lived lease removes the
-  // per-offspring free-list round-trip; the gene buffers back the lazy
-  // parent-repair copies.  A slot's arena is only ever touched by the
-  // participant owning that slot (parallel_for_slots), so no locking.
+  // Thread-affine scratch: one per ThreadPool slot, built for the whole
+  // run (DESIGN.md §8).  The full-tracking state is rebuilt to each
+  // offspring's genes and read out as its evaluation; the gene buffers
+  // back the lazy parent-repair copies.  A slot's arena is only ever
+  // touched by the participant owning that slot (parallel_for_slots), so
+  // no locking.
   struct Arena {
-    std::optional<AllocationProblem::EvaluatorLease> lease;
+    explicit Arena(const AllocationProblem& problem)
+        : state(problem.instance(), problem.options(), StateTracking::kFull,
+                problem.tables()) {}
+
+    PlacementState state;
     std::vector<std::int32_t> genes_a;  // parent-repair scratch
     std::vector<std::int32_t> genes_b;
-
-    Evaluator& evaluator() { return **lease; }
   };
 
   // One fused task: (lazily copied + repaired) parents, SBX + PM, repair
@@ -150,10 +152,9 @@ class NsgaBase {
                       Arena& arena);
 
   // Offspring/initial-individual treatment: repair (when the mode asks
-  // for it) fused with evaluation.  With a StateRepairFn the repair
-  // walk's PlacementState is read out directly as the evaluation;
-  // otherwise genes-based repair followed by a normal evaluation on the
-  // arena's evaluator.
+  // for it) fused with evaluation.  The arena's state is rebuilt to the
+  // genes — after the genes repair, or before the StateRepairFn walk —
+  // and read out as the evaluation.
   void repair_evaluate(Individual& ind, Rng& rng, TaskStats& stats,
                        Arena& arena);
 

@@ -56,10 +56,9 @@
 #include "ea/problem.h"
 #include "ea/reference_points.h"
 
-// Tabu search (repair operator + standalone improvement).
+// Tabu search (the repair operator).
 #include "tabu/repair.h"
 #include "tabu/tabu_list.h"
-#include "tabu/tabu_search.h"
 
 // Allocation algorithms.
 #include "algo/allocator.h"

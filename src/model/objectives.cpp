@@ -2,8 +2,8 @@
 
 namespace iaas {
 
-Evaluation Evaluator::evaluate_genes(std::span<const std::int32_t> genes) {
-  state_.rebuild(genes);
+Evaluation Evaluator::evaluate(const Placement& placement) {
+  state_.rebuild(placement.genes());
   Evaluation out;
   out.objectives = state_.objectives();
   out.violations = state_.violation_report();

@@ -26,7 +26,6 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
 #include <utility>
 
 #include "common/matrix.h"
@@ -45,26 +44,20 @@ struct Evaluation {
 
 // Evaluates placements against one instance.  A thin wrapper that drives
 // a full PlacementState rebuild per call; the state's accumulators double
-// as reusable scratch, so a hot loop (EA population evaluation) performs
-// no per-call allocation.  Create one Evaluator per thread; callers that
-// score many single-VM relocations of the *same* placement should use
-// state() and PlacementState::try_move instead of repeated full calls.
+// as reusable scratch, so repeated calls perform no per-call allocation.
+// Create one Evaluator per thread; callers that score many single-VM
+// relocations of the *same* placement should hold a PlacementState and
+// use try_move instead of repeated full calls.
 class Evaluator {
  public:
-  // `tables` lets pooled evaluators share one immutable StateTables (the
+  // `tables` lets evaluators share one immutable StateTables (the
   // instance-derived SoA flattening) instead of rebuilding it per state.
   explicit Evaluator(const Instance& instance, ObjectiveOptions options = {},
                      std::shared_ptr<const StateTables> tables = nullptr)
       : state_(instance, options, StateTracking::kFull, std::move(tables)) {}
 
   // Objectives + violations in one pass (loads are shared work).
-  Evaluation evaluate(const Placement& placement) {
-    return evaluate_genes(placement.genes());
-  }
-
-  // Same, straight from a gene vector (EA individuals) — avoids copying
-  // the genes into a temporary Placement.
-  Evaluation evaluate_genes(std::span<const std::int32_t> genes);
+  Evaluation evaluate(const Placement& placement);
 
   // Objectives only.
   ObjectiveVector objectives(const Placement& placement);
@@ -76,11 +69,6 @@ class Evaluator {
   [[nodiscard]] const Matrix<double>& last_qos() const {
     return state_.qos();
   }
-
-  // The underlying delta engine, positioned at the last evaluated
-  // placement.
-  [[nodiscard]] PlacementState& state() { return state_; }
-  [[nodiscard]] const PlacementState& state() const { return state_; }
 
   [[nodiscard]] const Instance& instance() const {
     return state_.instance();

@@ -126,9 +126,9 @@ void PlacementState::rebuild(std::span<const std::int32_t> genes) {
   IAAS_EXPECT(genes.size() == instance_->n(),
               "placement size mismatch with instance");
   // Counted here rather than in rebuild_from_placement: the constructor
-  // also scans (over an all-rejected placement), but evaluator-pool
-  // construction varies with thread count and would make the tally
-  // nondeterministic.
+  // also scans (over an all-rejected placement), but the NSGA engine
+  // builds one state per pool slot, which varies with thread count and
+  // would make the tally nondeterministic.
   telemetry::count(telemetry::Counter::kStateRebuilds);
   std::vector<std::int32_t>& dst = placement_.genes();
   std::copy(genes.begin(), genes.end(), dst.begin());
@@ -180,39 +180,7 @@ void PlacementState::rebuild_from_placement() {
       ++relation_violations_;
     }
   }
-
-  pending_.reset();
-  undo_.clear();
-}
-
-void PlacementState::assign_from(const PlacementState& other) {
-  IAAS_EXPECT(instance_ == other.instance_,
-              "assign_from across different instances");
-  IAAS_EXPECT(tracking_ == other.tracking_,
-              "assign_from across tracking modes");
-  options_ = other.options_;
-  placement_ = other.placement_;
-  used_ = other.used_;
-  loads_ = other.loads_;
-  qos_ = other.qos_;
-  server_head_ = other.server_head_;
-  server_tail_ = other.server_tail_;
-  server_count_ = other.server_count_;
-  vm_next_ = other.vm_next_;
-  vm_prev_ = other.vm_prev_;
-  server_cost_ = other.server_cost_;
-  overload_count_ = other.overload_count_;
-  total_usage_ = other.total_usage_;
-  total_downtime_ = other.total_downtime_;
-  total_migration_ = other.total_migration_;
-  relation_ok_ = other.relation_ok_;
-  leaf_residual_ = other.leaf_residual_;
-  leaf_stale_ = other.leaf_stale_;
-  capacity_violations_ = other.capacity_violations_;
-  relation_violations_ = other.relation_violations_;
-  rejected_count_ = other.rejected_count_;
-  pending_.reset();
-  undo_.clear();
+  applied_moves_ = 0;
 }
 
 void PlacementState::detach_vm(std::size_t k, std::size_t j) {
@@ -423,10 +391,11 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
   IAAS_DEBUG_EXPECT(k < instance_->n(), "vm index out of range");
   IAAS_DEBUG_EXPECT(target < static_cast<std::int32_t>(instance_->m()),
                     "target server out of range");
+  IAAS_EXPECT(tracking_ == StateTracking::kFull,
+              "try_move needs a full-tracking state");
   const Instance& inst = *instance_;
   const std::size_t h = inst.h();
   const std::int32_t from = placement_.server_of(k);
-  pending_ = Move{k, target};
 
   ObjectiveDelta delta;
   delta.objectives = objectives();
@@ -437,57 +406,33 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
 
   double usage_delta = 0.0;
   double downtime_delta = 0.0;
-  double migration_delta = 0.0;
   std::int32_t capacity_delta = 0;
-
-  if (tracking_ == StateTracking::kViolationsOnly) {
-    // Overload-count deltas only; the objective fields stay unspecified.
-    for (const std::int32_t side : {from, target}) {
-      if (side < 0) {
-        continue;
-      }
-      const auto j = static_cast<std::size_t>(side);
-      const std::span<const double> used = used_.row(j);
-      const std::span<const double> ecap =
-          tables_->effective_capacity.row(j);
-      const double sign = side == from ? -1.0 : 1.0;
-      std::uint32_t overloads = 0;
-      for (std::size_t l = 0; l < h; ++l) {
-        overloads +=
-            used[l] + sign * demand[l] > ecap[l] + kCapacityEps ? 1u : 0u;
-      }
-      capacity_delta += static_cast<std::int32_t>(overloads) -
-                        static_cast<std::int32_t>(overload_count_[j]);
+  if (from >= 0) {
+    const auto a = static_cast<std::size_t>(from);
+    const std::span<const double> used = used_.row(a);
+    for (std::size_t l = 0; l < h; ++l) {
+      scratch_row_[l] = used[l] - demand[l];
     }
-  } else {
-    if (from >= 0) {
-      const auto a = static_cast<std::size_t>(from);
-      const std::span<const double> used = used_.row(a);
-      for (std::size_t l = 0; l < h; ++l) {
-        scratch_row_[l] = used[l] - demand[l];
-      }
-      const ServerEdit edit =
-          edit_server(a, k, /*joining=*/false, scratch_row_);
-      usage_delta += edit.usage - usage_acc(a);
-      downtime_delta += edit.downtime - downtime_acc(a);
-      capacity_delta += static_cast<std::int32_t>(edit.overloads) -
-                        static_cast<std::int32_t>(overload_count_[a]);
-    }
-    if (target >= 0) {
-      const auto b = static_cast<std::size_t>(target);
-      const std::span<const double> used = used_.row(b);
-      for (std::size_t l = 0; l < h; ++l) {
-        scratch_row_[l] = used[l] + demand[l];
-      }
-      const ServerEdit edit =
-          edit_server(b, k, /*joining=*/true, scratch_row_);
-      usage_delta += edit.usage - usage_acc(b);
-      downtime_delta += edit.downtime - downtime_acc(b);
-      capacity_delta += static_cast<std::int32_t>(edit.overloads) -
-                        static_cast<std::int32_t>(overload_count_[b]);
-    }
-    migration_delta = migration_of(k, target) - migration_of(k, from);
+    const ServerEdit edit = edit_server(a, k, /*joining=*/false, scratch_row_);
+    usage_delta += edit.usage - usage_acc(a);
+    downtime_delta += edit.downtime - downtime_acc(a);
+    capacity_delta += static_cast<std::int32_t>(edit.overloads) -
+                      static_cast<std::int32_t>(overload_count_[a]);
   }
+  if (target >= 0) {
+    const auto b = static_cast<std::size_t>(target);
+    const std::span<const double> used = used_.row(b);
+    for (std::size_t l = 0; l < h; ++l) {
+      scratch_row_[l] = used[l] + demand[l];
+    }
+    const ServerEdit edit = edit_server(b, k, /*joining=*/true, scratch_row_);
+    usage_delta += edit.usage - usage_acc(b);
+    downtime_delta += edit.downtime - downtime_acc(b);
+    capacity_delta += static_cast<std::int32_t>(edit.overloads) -
+                      static_cast<std::int32_t>(overload_count_[b]);
+  }
+  const double migration_delta =
+      migration_of(k, target) - migration_of(k, from);
 
   std::int32_t relation_delta = 0;
   const std::span<const std::uint32_t> mentions = tables_->constraints_of(k);
@@ -511,7 +456,9 @@ ObjectiveDelta PlacementState::try_move(std::size_t k, std::int32_t target) {
   return delta;
 }
 
-void PlacementState::do_move(std::size_t k, std::int32_t target) {
+void PlacementState::apply_move(std::size_t k, std::int32_t target) {
+  telemetry::count(telemetry::Counter::kDeltaMoves);
+  ++applied_moves_;
   const std::int32_t from = placement_.server_of(k);
   if (from == target) {
     return;
@@ -550,26 +497,6 @@ void PlacementState::do_move(std::size_t k, std::int32_t target) {
     }
     relation_ok_[c] = ok ? 1 : 0;
   }
-}
-
-void PlacementState::apply() {
-  IAAS_EXPECT(pending_.has_value(), "apply without a pending try_move");
-  const Move move = *pending_;
-  apply_move(move.vm, move.target);
-}
-
-void PlacementState::apply_move(std::size_t k, std::int32_t target) {
-  telemetry::count(telemetry::Counter::kDeltaMoves);
-  undo_.push_back(Move{k, placement_.server_of(k)});
-  do_move(k, target);
-  pending_.reset();
-}
-
-void PlacementState::revert() {
-  IAAS_EXPECT(!undo_.empty(), "revert without an applied move");
-  const Move move = undo_.back();
-  undo_.pop_back();
-  do_move(move.vm, move.target);
 }
 
 ViolationReport PlacementState::violation_report() const {

@@ -5,31 +5,31 @@
 // per-server allocated demand, normalised loads and QoS, per-server usage
 // and downtime cost terms, the per-server VM membership lists, the
 // per-constraint satisfied flags, and the three objective totals.
-// Invariants (see DESIGN.md §7): after construction, rebuild(),
-// assign_from(), or any apply/revert, all accumulators equal what a
-// from-scratch Evaluator::evaluate of the same placement would produce.
+// Invariant (see DESIGN.md §7): after construction, rebuild() or any
+// apply_move(), all accumulators equal what a from-scratch
+// Evaluator::evaluate of the same placement would produce.
 //
 // Relocating VM k from server a to server b only changes rows a and b of
 // every per-server quantity, the constraints that mention k, and k's own
-// migration term — so try_move scores a candidate move in
-// O(h + |VMs on a| + |VMs on b| + |constraints of k|) instead of the
-// O(n·m·h) full rebuild.  This is the standard scaling lever of the VM
-// placement literature (move-based neighbourhoods with incremental
-// objective bookkeeping) applied to the paper's tabu + NSGA-III stack.
+// migration term — so apply_move commits a move, and try_move scores a
+// candidate move, in O(h + |VMs on a| + |VMs on b| + |constraints of k|)
+// instead of the O(n·m·h) full rebuild.  The tabu repair walk applies
+// its moves this way; the sharded allocator's rebalance pass scores
+// candidate servers with try_move.
 //
 // Memory layout (DESIGN.md §7): structure-of-arrays throughout.  All
 // instance-derived inputs the hot loops read (per-VM demand rows and cost
 // scalars, per-server capacity/knee/QoS rows and cost scalars, the
 // VM→constraint adjacency) live in an immutable StateTables, flattened
 // into contiguous matrices, scalar arrays, and a CSR index — shareable
-// between every state built against the same Instance, so an evaluator
-// pool pays the flattening once.  The mutable side is equally flat:
-// per-server membership is an intrusive doubly-linked list over three
-// plain arrays (head/next/prev) with O(1) attach/detach and no per-server
-// heap vectors, and the per-server cost accumulators are striped into one
-// contiguous buffer.  A state is therefore copyable with a handful of
-// memcpy-sized vector assignments (assign_from), and the per-attribute
-// hot loops in refresh_server/edit_server run over contiguous row spans.
+// between every state built against the same Instance, so the NSGA
+// engine's per-slot states and the repairer's states pay the flattening
+// once.  The mutable side is equally flat: per-server membership is an
+// intrusive doubly-linked list over three plain arrays (head/next/prev)
+// with O(1) attach/detach and no per-server heap vectors, and the
+// per-server cost accumulators are striped into one contiguous buffer,
+// so the per-attribute hot loops in refresh_server/edit_server run over
+// contiguous row spans.
 //
 // The invariant also powers the fused repair-as-evaluation pipeline
 // (DESIGN.md §8): TabuRepair::repair_state walks a full-tracking state
@@ -43,7 +43,6 @@
 #include <cstdint>
 #include <iterator>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -59,7 +58,7 @@ namespace iaas {
 // hot loops read, flattened out of the AoS Server/VmRequest structs and
 // the per-VM constraint lists.  Built once per Instance and shared (by
 // shared_ptr) across every PlacementState/Evaluator of that instance —
-// the pooled-evaluator and arena paths construct states without re-doing
+// the engine's arenas and the repairer construct states without re-doing
 // the O(n·h + m·h + constraints) flattening.
 struct StateTables {
   explicit StateTables(const Instance& instance);
@@ -98,8 +97,8 @@ struct StateTables {
 // nothing else, and skipping the per-move QoS/downtime/usage refresh (an
 // exp() per attribute per affected server) keeps repair as cheap as the
 // capacity-only bookkeeping it replaced.  In that mode loads(), qos(),
-// objectives(), aggregate() and the objective fields of try_move results
-// are unspecified (and the loads/qos matrices are not even allocated).
+// objectives() and aggregate() are unspecified (and the loads/qos
+// matrices are not even allocated), and try_move aborts.
 enum class StateTracking { kFull, kViolationsOnly };
 
 // Outcome of scoring one candidate relocation.
@@ -125,29 +124,20 @@ class PlacementState {
                           std::shared_ptr<const StateTables> tables = nullptr);
 
   // Full O(n + m·h + constraints) rebuild — the repositioning path;
-  // every other member keeps the accumulators in sync.  Clears the
-  // pending/undo history.
+  // every other member keeps the accumulators in sync.  Resets
+  // applied_moves().
   void rebuild(std::span<const std::int32_t> genes);
   void rebuild(const Placement& placement);
 
-  // Becomes a copy of `other` (same instance, options, and tracking mode)
-  // without rebuilding: a handful of flat vector assignments, no
-  // allocation after first use.  The pending/undo history is not copied.
-  void assign_from(const PlacementState& other);
-
   // Scores relocating VM k to `target` (server id or Placement::kRejected)
-  // without changing the observable state; the move becomes "pending" so a
-  // following apply() can commit it.
+  // without changing the observable state.  Full tracking only: aborts on
+  // a kViolationsOnly state.
   ObjectiveDelta try_move(std::size_t k, std::int32_t target);
 
-  // Commits the pending move from the last try_move.
-  void apply();
-  // Commits an arbitrary move directly (try_move is not required first).
+  // Commits relocating VM k to `target` (try_move is not required first).
   void apply_move(std::size_t k, std::int32_t target);
-  // Undoes applied moves in LIFO order (any depth, back to the last
-  // rebuild).
-  void revert();
-  [[nodiscard]] std::size_t applied_moves() const { return undo_.size(); }
+  // apply_move calls since the last rebuild.
+  [[nodiscard]] std::size_t applied_moves() const { return applied_moves_; }
 
   // --- objective accessors ---
   [[nodiscard]] ObjectiveVector objectives() const {
@@ -277,8 +267,6 @@ class PlacementState {
   void refresh_server(std::size_t j);
   // Recomputes leaf g's max-residual row.
   void refresh_leaf(std::size_t g);
-  // Commits a move into every accumulator (no undo bookkeeping).
-  void do_move(std::size_t k, std::int32_t target);
 
   // Membership + demand edits (list unlink/link, used_ row update,
   // rejected count); placement_ itself is the caller's job.
@@ -350,13 +338,7 @@ class PlacementState {
   Matrix<double> leaf_residual_;
   std::vector<std::uint8_t> leaf_stale_;
 
-  struct Move {
-    std::size_t vm = 0;
-    std::int32_t target = 0;
-  };
-  std::optional<Move> pending_;
-  std::vector<Move> undo_;  // target = the server to move back to
-
+  std::size_t applied_moves_ = 0;
   std::vector<double> scratch_row_;  // h-sized hypothetical used row
 };
 

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "model/infrastructure.h"
+#include "model/placement_state.h"
 #include "tests/test_util.h"
 #include "topology/fabric.h"
 
@@ -70,6 +71,16 @@ TEST(ContractsDeathTest, PercentileRejectsEmptyRange) {
 TEST(ContractsDeathTest, PercentileRejectsBadQuantile) {
   const std::vector<double> v = {1.0};
   EXPECT_DEATH((void)percentile(v, 1.5), "0,1");
+}
+
+TEST(ContractsDeathTest, TryMoveRequiresFullTracking) {
+  // A violations-only state keeps no objective accumulators, so it has
+  // no objective delta to report.
+  const Instance inst = test::make_instance(
+      1, 2, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}, {1.0, 1.0, 1.0}});
+  PlacementState state(inst, {}, StateTracking::kViolationsOnly);
+  state.rebuild(std::vector<std::int32_t>{0, 1});
+  EXPECT_DEATH((void)state.try_move(1, 0), "full-tracking");
 }
 
 }  // namespace

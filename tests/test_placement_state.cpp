@@ -1,12 +1,13 @@
 // Delta-evaluation engine (PlacementState): every accumulator must agree
 // with a from-scratch Evaluator::evaluate after any sequence of moves,
-// rejections, and reverts — the invariant DESIGN.md §7 promises.
+// rejections, and moves back — the invariant DESIGN.md §7 promises.
 #include "model/placement_state.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -126,7 +127,7 @@ TEST(PlacementState, TryMovePredictsFullEvaluation) {
   }
 }
 
-TEST(PlacementState, ApplyCommitsThePendingMove) {
+TEST(PlacementState, ApplyMoveCommitsTheScoredMove) {
   const Instance inst = constrained_instance(5);
   PlacementState state(inst);
   Evaluator evaluator(inst);
@@ -138,13 +139,13 @@ TEST(PlacementState, ApplyCommitsThePendingMove) {
       (state.placement().server_of(k) + 1) %
       static_cast<std::int32_t>(inst.m());
   const ObjectiveDelta delta = state.try_move(k, target);
-  state.apply();
+  state.apply_move(k, target);
   EXPECT_EQ(state.placement().server_of(k), target);
   EXPECT_NEAR(state.aggregate(), delta.objectives.aggregate(), kTol);
   expect_matches_full(state, evaluator);
 }
 
-TEST(PlacementState, RevertRestoresEverything) {
+TEST(PlacementState, MovingBackRestoresEverything) {
   const Instance inst = constrained_instance(6);
   PlacementState state(inst);
   Evaluator evaluator(inst);
@@ -153,6 +154,8 @@ TEST(PlacementState, RevertRestoresEverything) {
   const Placement original = state.placement();
   const double original_aggregate = state.aggregate();
 
+  // Each move's source server, so the walk can be undone in LIFO order.
+  std::vector<std::pair<std::size_t, std::int32_t>> sources;
   Rng move_rng(23);
   for (int i = 0; i < 50; ++i) {
     const std::size_t k = move_rng.uniform_index(inst.n());
@@ -160,14 +163,18 @@ TEST(PlacementState, RevertRestoresEverything) {
         move_rng.bernoulli(0.1)
             ? Placement::kRejected
             : static_cast<std::int32_t>(move_rng.uniform_index(inst.m()));
+    sources.emplace_back(k, state.placement().server_of(k));
     state.apply_move(k, target);
   }
-  while (state.applied_moves() > 0) {
-    state.revert();
+  EXPECT_EQ(state.applied_moves(), 50u);
+  for (auto it = sources.rbegin(); it != sources.rend(); ++it) {
+    state.apply_move(it->first, it->second);
   }
   EXPECT_EQ(state.placement(), original);
   EXPECT_NEAR(state.aggregate(), original_aggregate, kTol);
   expect_matches_full(state, evaluator);
+  state.rebuild(original);
+  EXPECT_EQ(state.applied_moves(), 0u);
 }
 
 TEST(PlacementState, RelationViolationsTrackMoves) {
@@ -183,9 +190,9 @@ TEST(PlacementState, RelationViolationsTrackMoves) {
 
   const ObjectiveDelta fix = state.try_move(1, 0);
   EXPECT_EQ(fix.violations_delta, -1);
-  state.apply();
+  state.apply_move(1, 0);
   EXPECT_EQ(state.relation_violations(), 0u);
-  state.revert();
+  state.apply_move(1, 1);
   EXPECT_EQ(state.relation_violations(), 1u);
 }
 
@@ -200,10 +207,10 @@ TEST(PlacementState, CapacityViolationsTrackMoves) {
 
   const ObjectiveDelta crowd = state.try_move(1, 0);
   EXPECT_EQ(crowd.violations_delta, 3);  // all three attributes exceed
-  state.apply();
+  state.apply_move(1, 0);
   EXPECT_TRUE(state.server_overloaded(0));
   EXPECT_EQ(state.capacity_violations(), 3u);
-  state.revert();
+  state.apply_move(1, 1);
   EXPECT_EQ(state.capacity_violations(), 0u);
 }
 
@@ -323,19 +330,17 @@ TEST(PlacementState, LeafSummaryPrunesExactlyAtTheResidual) {
   EXPECT_FALSE(state.any_leaf_fits(8 + 7));
 
   // Emptying server 5 makes its leaf fit the 0.3 probe; the summary must
-  // see the move (and its revert) without a rebuild.
+  // see the move (and the move back) without a rebuild.
   state.apply_move(5, Placement::kRejected);
   EXPECT_TRUE(state.any_leaf_fits(8 + 7));
   EXPECT_TRUE(checker.is_valid_move(state, 8 + 7, 5));
   EXPECT_FALSE(checker.is_valid_move(state, 8 + 7, 4));
-  state.revert();
+  state.apply_move(5, 5);
   EXPECT_FALSE(state.any_leaf_fits(8 + 7));
 
-  // assign_from carries the summary (and its stale marks) along.
+  // Same on a leaf of the other datacenter.
   state.apply_move(2, Placement::kRejected);
-  PlacementState copy(inst, {}, StateTracking::kViolationsOnly);
-  copy.assign_from(state);
-  EXPECT_TRUE(copy.any_leaf_fits(8 + 7));
+  EXPECT_TRUE(state.any_leaf_fits(8 + 7));
 }
 
 TEST(PlacementState, LeafSummaryNeverHidesAValidMove) {
@@ -408,11 +413,13 @@ TEST(PlacementState, ViolationsOnlyModeTracksViolationsExactly) {
         rng.bernoulli(0.1)
             ? Placement::kRejected
             : static_cast<std::int32_t>(rng.uniform_index(inst.m()));
-    const ObjectiveDelta lean_delta = lean.try_move(k, target);
     const ObjectiveDelta full_delta = full.try_move(k, target);
-    EXPECT_EQ(lean_delta.violations_delta, full_delta.violations_delta);
-    full.apply();
-    lean.apply();
+    const std::int32_t predicted =
+        static_cast<std::int32_t>(full.total_violations()) +
+        full_delta.violations_delta;
+    full.apply_move(k, target);
+    lean.apply_move(k, target);
+    EXPECT_EQ(static_cast<std::int32_t>(lean.total_violations()), predicted);
     EXPECT_EQ(lean.capacity_violations(), full.capacity_violations());
     EXPECT_EQ(lean.relation_violations(), full.relation_violations());
     EXPECT_EQ(lean.rejected_count(), full.rejected_count());
@@ -472,34 +479,7 @@ TEST(PlacementState, MembershipListsMirrorThePlacement) {
   EXPECT_EQ(total_members, inst.n() - state.rejected_count());
 }
 
-TEST(PlacementState, AssignFromClonesAndDecouples) {
-  const Instance inst = constrained_instance(12);
-  const auto tables = std::make_shared<const StateTables>(inst);
-  PlacementState source(inst, {}, StateTracking::kFull, tables);
-  PlacementState copy(inst, {}, StateTracking::kFull, tables);
-  Evaluator evaluator(inst);
-  Rng rng(43);
-  source.rebuild(random_genes(inst, rng));
-  source.apply_move(0, Placement::kRejected);  // non-empty undo log
-
-  copy.assign_from(source);
-  EXPECT_EQ(copy.placement(), source.placement());
-  EXPECT_NEAR(copy.aggregate(), source.aggregate(), kTol);
-  EXPECT_EQ(copy.applied_moves(), 0u);  // undo log does not transfer
-  expect_matches_full(copy, evaluator);
-
-  // The clone is independent: moves on one never leak into the other.
-  const Placement source_before = source.placement();
-  for (int step = 0; step < 40; ++step) {
-    copy.apply_move(rng.uniform_index(inst.n()),
-                    static_cast<std::int32_t>(rng.uniform_index(inst.m())));
-  }
-  EXPECT_EQ(source.placement(), source_before);
-  expect_matches_full(source, evaluator);
-  expect_matches_full(copy, evaluator);
-}
-
-// The headline property: hundreds of interleaved applies and reverts,
+// The headline property: hundreds of interleaved moves and moves back,
 // cross-checked against a full rebuild at every step.
 class PlacementStateProperty : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -512,9 +492,12 @@ TEST_P(PlacementStateProperty, DeltaAgreesWithFullAtEveryStep) {
   state.rebuild(random_genes(inst, rng));
   expect_matches_full(state, evaluator);
 
+  // Source server of each move not yet moved back, most recent last.
+  std::vector<std::pair<std::size_t, std::int32_t>> sources;
   for (int step = 0; step < 300; ++step) {
-    if (state.applied_moves() > 0 && rng.bernoulli(0.25)) {
-      state.revert();
+    if (!sources.empty() && rng.bernoulli(0.25)) {
+      state.apply_move(sources.back().first, sources.back().second);
+      sources.pop_back();
     } else {
       const std::size_t k = rng.uniform_index(inst.n());
       const std::int32_t target =
@@ -525,7 +508,8 @@ TEST_P(PlacementStateProperty, DeltaAgreesWithFullAtEveryStep) {
       const std::int32_t predicted =
           static_cast<std::int32_t>(state.total_violations()) +
           delta.violations_delta;
-      state.apply();
+      sources.emplace_back(k, state.placement().server_of(k));
+      state.apply_move(k, target);
       EXPECT_NEAR(state.aggregate(), delta.objectives.aggregate(), kTol);
       EXPECT_EQ(static_cast<std::int32_t>(state.total_violations()),
                 predicted);

@@ -164,8 +164,8 @@ TEST(ShardedAllocator, FeasiblePlacementAndConsistentStats) {
 
 TEST(ShardedAllocator, RebalanceRecoversShardRejections) {
   // 2 shards over 2 DCs: every shard is single-DC, so different-DC
-  // groups cannot be routed to any shard and enter the merge as
-  // pre-rejections — deterministic work for the global rebalance pass.
+  // groups cannot be routed to any shard and enter the merge unplaced —
+  // deterministic work for the global rebalance pass.
   std::vector<std::vector<double>> demands(16, {1.0, 1.0});
   std::vector<PlacementConstraint> constraints;
   constraints.push_back({RelationKind::kDifferentDatacenters, {0, 1}});
@@ -179,14 +179,12 @@ TEST(ShardedAllocator, RebalanceRecoversShardRejections) {
   EXPECT_GT(result.shard.rebalance_placements, 0u);
   EXPECT_LT(result.rejected, result.shard.pre_rejections);
 
-  // Rebalance off: the pre-rejections stay rejected.
-  ShardedAllocatorOptions no_rebalance = lean_options(2, 1);
-  no_rebalance.rebalance = false;
-  ShardedAllocator without(no_rebalance);
-  const AllocationResult raw = without.allocate(inst, 9);
-  EXPECT_EQ(raw.rejected, raw.shard.pre_rejections);
-  EXPECT_EQ(raw.shard.rebalance_placements, 0u);
-  EXPECT_EQ(raw.shard.migrations, 0u);
+  // Unrouted units are counted as pre-rejections: with ample capacity
+  // the shard EAs reject nothing, so the count is exactly the 6
+  // different-DC members, and the rebalance pass places all of them.
+  EXPECT_EQ(result.shard.pre_rejections, 6u);
+  EXPECT_EQ(result.shard.rebalance_placements, 6u);
+  EXPECT_EQ(result.rejected, 0u);
 }
 
 TEST(ShardedAllocator, BitIdenticalAcrossThreadCounts) {

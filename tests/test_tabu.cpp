@@ -1,5 +1,4 @@
-// Tabu list, the Fig. 5/6 repair operator, and the standalone tabu
-// search.
+// Tabu list and the Fig. 5/6 repair operator.
 #include <gtest/gtest.h>
 
 #include "algo/nsga_allocators.h"
@@ -8,7 +7,6 @@
 #include "model/objectives.h"
 #include "tabu/repair.h"
 #include "tabu/tabu_list.h"
-#include "tabu/tabu_search.h"
 #include "tests/test_util.h"
 
 namespace iaas {
@@ -451,53 +449,6 @@ TEST(TabuRepair, TraceRowsNeverAcceptMoreThanTried) {
   EXPECT_GT(accepted, 0u);
 }
 #endif
-
-TEST(TabuSearch, ImprovesCostAndStaysFeasible) {
-  const Instance inst = make_random_instance(21, 8, 24);
-  const ConstraintChecker checker(inst);
-  // Start from a deliberately spread-out feasible placement.
-  Placement start(inst.n());
-  Matrix<double> used(inst.m(), inst.h());
-  for (std::size_t k = 0; k < inst.n(); ++k) {
-    for (std::size_t j = 0; j < inst.m(); ++j) {
-      const std::size_t cand = (k + j) % inst.m();
-      if (checker.is_valid_allocation(start, used, k, cand)) {
-        start.assign(k, static_cast<std::int32_t>(cand));
-        for (std::size_t l = 0; l < inst.h(); ++l) {
-          used(cand, l) += inst.requests.vms[k].demand[l];
-        }
-        break;
-      }
-    }
-  }
-  ASSERT_TRUE(checker.check(start).feasible());
-
-  Evaluator evaluator(inst);
-  const double start_cost = evaluator.objectives(start).aggregate();
-
-  TabuSearch search(inst);
-  Rng rng(22);
-  const TabuSearchResult result = search.improve(start, rng);
-  EXPECT_LE(result.best_objectives.aggregate(), start_cost);
-  EXPECT_TRUE(checker.check(result.best).feasible());
-  EXPECT_GT(result.iterations, 0u);
-}
-
-TEST(TabuSearch, NoValidMovesTerminates) {
-  // Single server: no relocation possible; search must stop quickly.
-  const Instance inst =
-      make_instance(1, 1, {10.0, 10.0, 10.0}, {{1.0, 1.0, 1.0}});
-  Placement start(1);
-  start.assign(0, 0);
-  TabuSearchOptions options;
-  options.max_iterations = 1000;
-  options.stall_limit = 5;
-  TabuSearch search(inst, options);
-  Rng rng(23);
-  const TabuSearchResult result = search.improve(start, rng);
-  EXPECT_LE(result.iterations, 1000u);
-  EXPECT_EQ(result.best.server_of(0), 0);
-}
 
 }  // namespace
 }  // namespace iaas
